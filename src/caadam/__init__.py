@@ -61,15 +61,7 @@ from .errors import (
     ShapeError,
     StructureError,
 )
-from .linalg import (
-    Matrix,
-    as_matrix,
-    elementwise,
-    glorot_uniform,
-    make_rng,
-    matmul,
-    split_rng,
-)
+from .linalg import Matrix, as_matrix, glorot_uniform, make_rng
 from .nn import (
     CLASSIFICATION,
     REGRESSION,
@@ -77,7 +69,6 @@ from .nn import (
     GradientSet,
     Network,
     NetworkSpec,
-    apply_update,
     backward,
     forward,
     init_network,

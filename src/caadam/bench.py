@@ -121,9 +121,23 @@ _OPTIMIZER_KEYS = {
     "decay", "weight_decay", "scaling", "gamma", "sigma",
 }
 
+
+def _checked(value, kinds: tuple, what: str):
+    """``value`` itself when it is an instance of ``kinds`` (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(f"{what} must be {names}, got {value!r}")
+    return value
+
+
+_INT = (int,)
+_NUMBER = (int, float)
+_LIST = (list, tuple)
+
 _TRAIN_KEYS = {
-    "batch_size", "max_epochs", "early_stop_patience", "early_stop_min_delta",
-    "lr_reduce_factor", "lr_reduce_patience", "min_lr", "initial_lr",
+    "batch_size": _INT, "max_epochs": _INT, "early_stop_patience": _INT,
+    "early_stop_min_delta": _NUMBER, "lr_reduce_factor": _NUMBER,
+    "lr_reduce_patience": _INT, "min_lr": _NUMBER, "initial_lr": _NUMBER,
 }
 
 _EXPERIMENT_KEYS = {
@@ -138,20 +152,20 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
     depth-aware scaling strategy; they are rejected for algorithms that do
     not take one.  Unknown keys are errors rather than silently ignored.
     """
-    unknown = set(spec) - _OPTIMIZER_KEYS
+    unknown = set(_checked(spec, (dict,), "optimizer entry")) - _OPTIMIZER_KEYS
     if unknown:
         raise ConfigError(f"unknown optimizer config keys: {sorted(unknown)}")
     if "algorithm" not in spec:
         raise ConfigError(f"optimizer entry needs an 'algorithm': {spec}")
-    algorithm = spec["algorithm"]
+    algorithm = _checked(spec["algorithm"], (str,), "algorithm")
 
     scaling = None
     if "scaling" in spec:
         if algorithm != "caadam":
             raise ConfigError(f"'scaling' is only valid for caadam, not {algorithm!r}")
-        strategy_args = {"kind": spec["scaling"]}
+        strategy_args = {"kind": _checked(spec["scaling"], (str,), "scaling")}
         if "gamma" in spec:
-            strategy_args["gamma"] = float(spec["gamma"])
+            strategy_args["gamma"] = float(_checked(spec["gamma"], _NUMBER, "gamma"))
         if "sigma" in spec:
             strategy_args["multiplicative_sigma"] = spec["sigma"]
         scaling = ScalingStrategy(**strategy_args)
@@ -163,9 +177,10 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
     kwargs = {}
     for key in ("learning_rate", "beta1", "beta2", "eps", "decay", "weight_decay"):
         if key in spec:
-            kwargs[key] = float(spec[key])
+            kwargs[key] = float(_checked(spec[key], _NUMBER, key))
     config = OptimizerConfig(algorithm=algorithm, scaling=scaling, **kwargs)
-    return OptimizerEntry(label=spec.get("label", default_label(config)), config=config)
+    label = _checked(spec.get("label", default_label(config)), (str,), "label")
+    return OptimizerEntry(label=label, config=config)
 
 
 def experiment_from_dict(payload: dict) -> ExperimentConfig:
@@ -179,26 +194,31 @@ def experiment_from_dict(payload: dict) -> ExperimentConfig:
         if key not in payload:
             raise ConfigError(f"experiment config needs {key!r}")
 
-    train_spec = payload.get("train", {})
-    unknown = set(train_spec) - _TRAIN_KEYS
+    train_spec = _checked(payload.get("train", {}), (dict,), "train")
+    unknown = train_spec.keys() - _TRAIN_KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    train_cfg = TrainConfig(**train_spec)
+    train_cfg = TrainConfig(**{key: _checked(value, _TRAIN_KEYS[key], key)
+                               for key, value in train_spec.items()})
 
     kwargs = {}
     if "trials" in payload:
-        kwargs["trials"] = int(payload["trials"])
+        kwargs["trials"] = _checked(payload["trials"], _INT, "trials")
     if "base_seed" in payload:
-        kwargs["base_seed"] = int(payload["base_seed"])
+        kwargs["base_seed"] = _checked(payload["base_seed"], _INT, "base_seed")
     if "split" in payload:
-        split = payload["split"]
+        split = _checked(payload["split"], _LIST, "split")
         if len(split) != 3:
             raise ConfigError(f"split must have 3 fractions, got {split}")
-        kwargs["split"] = tuple(float(f) for f in split)
+        kwargs["split"] = tuple(float(_checked(f, _NUMBER, "split fraction")) for f in split)
     return ExperimentConfig(
-        dataset=dict(payload["dataset"]),
-        architectures=tuple(tuple(a) for a in payload["architectures"]),
-        optimizers=tuple(optimizer_entry_from_dict(o) for o in payload["optimizers"]),
+        dataset=dict(_checked(payload["dataset"], (dict,), "dataset")),
+        architectures=tuple(
+            tuple(_checked(s, _INT, "layer size") for s in _checked(a, _LIST, "architecture"))
+            for a in _checked(payload["architectures"], _LIST, "architectures")
+        ),
+        optimizers=tuple(optimizer_entry_from_dict(o)
+                         for o in _checked(payload["optimizers"], _LIST, "optimizers")),
         train=train_cfg,
         **kwargs,
     )
@@ -216,19 +236,19 @@ def load_dataset(spec: dict) -> Dataset:
         out = benchmark_regression()
     elif kind == "synth_regression":
         out = synth_regression(
-            n=int(spec.pop("n", 2000)),
-            m=int(spec.pop("m", 8)),
-            noise_std=float(spec.pop("noise_std", 0.0)),
-            seed=int(spec.pop("seed", 0)),
-            scale=float(spec.pop("scale", 1.0)),
+            n=_checked(spec.pop("n", 2000), _INT, "n"),
+            m=_checked(spec.pop("m", 8), _INT, "m"),
+            noise_std=float(_checked(spec.pop("noise_std", 0.0), _NUMBER, "noise_std")),
+            seed=_checked(spec.pop("seed", 0), _INT, "seed"),
+            scale=float(_checked(spec.pop("scale", 1.0), _NUMBER, "scale")),
         )
     elif kind == "synth_classification":
         out = synth_classification(
-            n=int(spec.pop("n", 2000)),
-            m=int(spec.pop("m", 8)),
-            classes=int(spec.pop("classes", 3)),
-            spread=float(spec.pop("spread", 1.0)),
-            seed=int(spec.pop("seed", 0)),
+            n=_checked(spec.pop("n", 2000), _INT, "n"),
+            m=_checked(spec.pop("m", 8), _INT, "m"),
+            classes=_checked(spec.pop("classes", 3), _INT, "classes"),
+            spread=float(_checked(spec.pop("spread", 1.0), _NUMBER, "spread")),
+            seed=_checked(spec.pop("seed", 0), _INT, "seed"),
         )
     elif kind == "csv":
         try:

@@ -26,8 +26,6 @@ from dataclasses import replace
 from . import bench
 from .data import CLASSIFICATION_TASK
 from .errors import ConfigError, DataError
-from .linalg import make_rng
-from .nn import init_network
 from .optim import make_optimizer
 from .train import STOP_DIVERGED, export_log_csv, train, evaluate
 
@@ -54,10 +52,7 @@ def _cmd_train(args) -> int:
     hidden = cfg.architectures[0]
     entry = cfg.optimizers[0]
 
-    master = make_rng(cfg.base_seed)
-    split_seed, init_seed, shuffle_seed = (int(s) for s in master.integers(0, 2**63, size=3))
-    split_ds = bench.split_standardize(dataset, cfg.split, seed=split_seed)
-    net = init_network(bench.network_spec_for(dataset, hidden), make_rng(init_seed))
+    split_ds, net, shuffle_seed = bench.trial_setup(dataset, hidden, cfg.split, cfg.base_seed)
     opt = make_optimizer(entry.config, net)
 
     started = time.monotonic()

@@ -1,27 +1,20 @@
 """Dense matrix primitives and deterministic random number generation.
 
-Matrices are plain 2-D ``numpy.ndarray`` objects with dtype float64; this
-module provides the checked operations the rest of the package is written
-against.  Every public operation validates shapes and guarantees a finite
-result (NaN/Inf raises instead of propagating silently).
+Matrices are plain 2-D ``numpy.ndarray`` objects with dtype float64.
 
 Randomness comes from numpy's PCG64 generator, a 64-bit permuted
 congruential generator whose output stream is fully determined by the seed
-and identical across platforms.  Generators are never shared: when several
-independent streams are needed, :func:`split_rng` derives child generators
-through the seed-sequence spawning mechanism.  The reference output vector
-for seed 42 is pinned in the test suite and documented in the README.
+and identical across platforms.  The reference output vector for seed 42 is
+pinned in the test suite and documented in the README.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ShapeError
 
 Matrix = np.ndarray
-
-_ELEMENTWISE_OPS = ("add", "sub", "mul", "div")
 
 
 def as_matrix(values, rows: int | None = None, cols: int | None = None) -> Matrix:
@@ -38,56 +31,9 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> Matri
     return a
 
 
-def _check_finite(a: Matrix, what: str) -> Matrix:
-    if not np.isfinite(a).all():
-        raise NonFiniteError(f"{what} produced non-finite values")
-    return a
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; shapes (n, k) x (k, m) -> (n, m)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    return _check_finite(out, "matmul")
-
-
-def elementwise(a: Matrix, b: Matrix, op: str) -> Matrix:
-    """Pointwise ``add``/``sub``/``mul``/``div`` of two same-shape matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if op not in _ELEMENTWISE_OPS:
-        raise ValueError(f"unknown op {op!r}, expected one of {_ELEMENTWISE_OPS}")
-    if op == "add":
-        out = a + b
-    elif op == "sub":
-        out = a - b
-    elif op == "mul":
-        out = a * b
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = a / b
-    return _check_finite(out, f"elementwise {op}")
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator for ``seed``; same seed, same stream, always."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators from ``rng``.
-
-    Consumes the parent's spawn state, so repeated splits of one parent give
-    distinct children while the whole tree stays a pure function of the
-    original seed.
-    """
-    return rng.spawn(n)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Matrix:

@@ -5,10 +5,16 @@ and either a linear output (regression) or raw logits consumed by a softmax
 cross-entropy loss (classification).  ``forward`` returns the prediction
 together with the activation cache that ``backward`` needs to produce
 analytic gradients for every weight and bias.
+
+Parameters live in one contiguous float64 vector per network, laid out
+W0, b0, W1, b1, ... with each weight matrix row-major; the per-layer
+``(W, b)`` pairs are views into it.  Gradients use the same layout, so an
+optimizer updates a whole network with one vector expression.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,40 +55,74 @@ class NetworkSpec:
         return list(zip(sizes[:-1], sizes[1:]))
 
 
+def split_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive slices of ``vector`` reshaped to ``shapes``, as views."""
+    out = []
+    offset = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(vector[offset : offset + size].reshape(shape))
+        offset += size
+    return out
+
+
+def _pairs(tensors: list[np.ndarray]) -> list[tuple[Matrix, np.ndarray]]:
+    return list(zip(tensors[::2], tensors[1::2]))
+
+
+def _pack(layers) -> tuple[np.ndarray, tuple, list[tuple[Matrix, np.ndarray]]]:
+    """Copy (W, b) pairs into one new vector; returns (vector, per-tensor
+    shapes, (W, b) views into the vector)."""
+    tensors = [np.asarray(a, dtype=np.float64) for pair in layers for a in pair]
+    shapes = tuple(a.shape for a in tensors)
+    vector = np.empty(sum(a.size for a in tensors))
+    views = split_views(vector, shapes)
+    for view, a in zip(views, tensors):
+        view[...] = a
+    return vector, shapes, _pairs(views)
+
+
 @dataclass
 class Network:
-    spec: NetworkSpec
-    layers: list[tuple[Matrix, np.ndarray]]  # (weights (fan_in, fan_out), bias (fan_out,))
+    """Layer layout plus parameters.  ``flat`` owns every parameter;
+    ``layers`` holds (weights (fan_in, fan_out), bias (fan_out,)) views into
+    it, and ``shapes`` the per-tensor shapes in order W0, b0, W1, ...
+    Constructing a Network copies the given arrays into a new ``flat``."""
 
-    def parameters(self) -> list[np.ndarray]:
-        """All parameter tensors in a fixed order: W0, b0, W1, b1, ..."""
-        out = []
-        for w, b in self.layers:
-            out.append(w)
-            out.append(b)
-        return out
+    spec: NetworkSpec
+    layers: list[tuple[Matrix, np.ndarray]]
+    flat: np.ndarray = field(init=False, repr=False)
+    shapes: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.flat, self.shapes, self.layers = _pack(self.layers)
 
     def copy_weights(self) -> list[tuple[Matrix, np.ndarray]]:
         return [(w.copy(), b.copy()) for w, b in self.layers]
 
     def set_weights(self, snapshot: list[tuple[Matrix, np.ndarray]]) -> None:
-        if len(snapshot) != len(self.layers):
-            raise ShapeError("snapshot layer count does not match network")
-        self.layers = [(w.copy(), b.copy()) for w, b in snapshot]
+        """Copy ``snapshot`` into ``flat``; ``layers`` keep viewing it."""
+        flat, shapes, _ = _pack(snapshot)
+        if shapes != self.shapes:
+            raise ShapeError("snapshot does not match the network's parameter shapes")
+        self.flat[...] = flat
 
 
 @dataclass
 class GradientSet:
-    """Per-layer (weight gradient, bias gradient), shape-congruent with a Network."""
+    """Per-layer (weight gradient, bias gradient), shape-congruent with a Network.
+
+    ``flat`` holds every gradient in the layout of ``Network.flat`` and
+    ``layers`` holds (dW, db) views into it.  Built from ``layers`` alone,
+    the arrays are copied into a new vector."""
 
     layers: list[tuple[Matrix, np.ndarray]]
+    flat: np.ndarray | None = None
+    shapes: tuple | None = None
 
-    def flat(self) -> list[np.ndarray]:
-        out = []
-        for dw, db in self.layers:
-            out.append(dw)
-            out.append(db)
-        return out
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat, self.shapes, self.layers = _pack(self.layers)
 
 
 @dataclass
@@ -198,30 +238,16 @@ def backward(net: Network, cache: ForwardCache, targets) -> GradientSet:
         dz[np.arange(n), idx] -= 1.0
         dz /= n
 
-    grads: list[tuple[Matrix, np.ndarray]] = [None] * n_layers
+    flat = np.empty_like(net.flat)
+    grads = _pairs(split_views(flat, net.shapes))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_layers - 1, -1, -1):
-            h = cache.inputs[i]
-            dw = h.T @ dz
-            db = dz.sum(axis=0)
-            grads[i] = (dw, db)
+            dw, db = grads[i]
+            np.matmul(cache.inputs[i].T, dz, out=dw)
+            dz.sum(axis=0, out=db)
             if i > 0:
                 dh = dz @ net.layers[i][0].T
                 dz = dh * (cache.pre[i - 1] > 0.0)
-    out = GradientSet(layers=grads)
-    for g in out.flat():
-        if not np.isfinite(g).all():
-            raise NonFiniteError("backward pass produced non-finite gradients")
-    return out
-
-
-def apply_update(net: Network, delta: GradientSet) -> Network:
-    """Shift every parameter by the matching entry of ``delta``, in place."""
-    if len(delta.layers) != len(net.layers):
-        raise ShapeError("update layer count does not match network")
-    for (w, b), (dw, db) in zip(net.layers, delta.layers):
-        if w.shape != dw.shape or b.shape != db.shape:
-            raise ShapeError("update shapes do not match network parameters")
-        w += dw
-        b += db
-    return net
+    if not np.isfinite(flat).all():
+        raise NonFiniteError("backward pass produced non-finite gradients")
+    return GradientSet(layers=grads, flat=flat, shapes=net.shapes)

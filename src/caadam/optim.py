@@ -21,21 +21,24 @@ Implemented algorithms, each advancing its own accumulators:
 * ``caadam``     adam whose per-layer update is multiplied by a scale factor
                  derived from the network architecture (see ``scaling``)
 
-Accumulators start at zero and are shaped lazily from the first gradients
-seen.  A non-finite update aborts the step with diagnostics instead of
-being clamped, so a diverging run is recorded as such.
+Every rule updates the whole network at once: it reads the parameter and
+gradient vectors (``Network.flat``, ``GradientSet.flat``) and keeps each
+accumulator as one vector of the same layout, allocated at zero on the
+first step.  A non-finite update aborts the step with diagnostics instead
+of being clamped, and leaves the parameters untouched, so a diverging run
+is recorded as such.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arch import ArchitectureSummary, summarize
 from .errors import ConfigError, NonFiniteError, ShapeError
-from .nn import GradientSet, Network, apply_update
+from .nn import GradientSet, Network, split_views
 from .scaling import ScaleTable, ScalingStrategy, compute_scale_table
 
 CHECKPOINT_VERSION = 1
@@ -68,14 +71,16 @@ class OptimizerConfig:
 
 
 class Optimizer:
-    """Base stepping machinery; subclasses implement one tensor update."""
+    """Base stepping machinery; subclasses implement one vector update."""
 
     algorithm = "base"
+    slot_names: tuple[str, ...] = ()
 
     def __init__(self, config: OptimizerConfig):
         self.config = config
         self.t = 0
-        self._slots: list[dict[str, np.ndarray]] = []
+        self._state: dict[str, np.ndarray] = {}  # accumulator vectors by slot name
+        self._shapes: tuple | None = None  # per-tensor layout of the accumulators
 
     # -- stepping ---------------------------------------------------------
 
@@ -85,47 +90,44 @@ class Optimizer:
             lr = self.config.learning_rate
         if lr <= 0.0:
             raise ConfigError(f"lr must be > 0, got {lr}")
-        params = net.parameters()
-        flat_grads = grads.flat()
-        if len(params) != len(flat_grads):
-            raise ShapeError("gradient set does not match network parameter count")
-        self._check_tables(net)
+        if grads.shapes != net.shapes:
+            if len(grads.shapes) != len(net.shapes):
+                raise ShapeError("gradient set does not match network parameter count")
+            i = next(i for i, (p, g) in enumerate(zip(net.shapes, grads.shapes)) if p != g)
+            raise ShapeError(f"parameter {i}: gradient shape {grads.shapes[i]} != {net.shapes[i]}")
+        if self._shapes is None:
+            self._shapes = net.shapes
+            self._state = {name: np.zeros_like(net.flat) for name in self.slot_names}
+        elif self._shapes != net.shapes:
+            raise ShapeError("optimizer state was built for a different network layout")
+        lr = self._effective_lr(net, lr)
         self.t += 1
-        deltas = []
-        for i, (p, g) in enumerate(zip(params, flat_grads)):
-            if p.shape != g.shape:
-                raise ShapeError(f"parameter {i}: gradient shape {g.shape} != {p.shape}")
-            slot = self._slot(i, p)
-            with np.errstate(over="ignore", invalid="ignore"):
-                delta = self._update(p, g, slot, self._effective_lr(i, lr))
-            if not np.isfinite(delta).all():
-                raise NonFiniteError(
-                    f"{self.algorithm} produced a non-finite update for tensor {i} "
-                    f"at step t={self.t}"
-                )
-            deltas.append(delta)
-        layered = [(deltas[2 * j], deltas[2 * j + 1]) for j in range(len(net.layers))]
-        return apply_update(net, GradientSet(layers=layered))
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = self._update(net.flat, grads.flat, self._state, lr)
+        if not np.isfinite(delta).all():
+            bad = next(i for i, d in enumerate(split_views(delta, net.shapes))
+                       if not np.isfinite(d).all())
+            raise NonFiniteError(
+                f"{self.algorithm} produced a non-finite update for tensor {bad} "
+                f"at step t={self.t}"
+            )
+        net.flat += delta
+        return net
 
-    def _slot(self, i: int, p: np.ndarray) -> dict[str, np.ndarray]:
-        while len(self._slots) <= i:
-            self._slots.append({})
-        slot = self._slots[i]
-        if not slot:
-            for name in self.slot_names:
-                slot[name] = np.zeros_like(p)
-        return slot
-
-    def _effective_lr(self, i: int, lr: float) -> float:
+    def _effective_lr(self, net: Network, lr: float):
         return lr
-
-    def _check_tables(self, net: Network) -> None:
-        pass
-
-    slot_names: tuple[str, ...] = ()
 
     def _update(self, p, g, slot, lr):
         raise NotImplementedError
+
+    @property
+    def _slots(self) -> list[dict[str, np.ndarray]]:
+        """The accumulators split per tensor (W0, b0, W1, ...), as views."""
+        if self._shapes is None:
+            return []
+        per_name = {name: split_views(vec, self._shapes) for name, vec in self._state.items()}
+        return [{name: views[i] for name, views in per_name.items()}
+                for i in range(len(self._shapes))]
 
     # -- checkpointing ----------------------------------------------------
 
@@ -157,10 +159,15 @@ class Optimizer:
 
     def _restore_slots(self, payload: dict) -> None:
         self.t = payload["t"]
-        self._slots = [
-            {name: np.asarray(values, dtype=np.float64) for name, values in slot.items()}
-            for slot in payload["slots"]
-        ]
+        slots = payload["slots"]
+        names = list(slots[0]) if slots else []
+        self._shapes = tuple(np.shape(slot[names[0]]) for slot in slots) if names else None
+        self._state = {
+            name: np.concatenate([np.asarray(slot[name], dtype=np.float64).ravel()
+                                  for slot in slots])
+            for name in names
+        }
+
 
 
 class Sgd(Optimizer):
@@ -264,16 +271,22 @@ class CaAdam(Adam):
     def __init__(self, config: OptimizerConfig, scale_table: ScaleTable):
         super().__init__(config)
         self.scale_table = scale_table
+        self._lr_key = None
+        self._lr_vector = None
 
-    def _effective_lr(self, i: int, lr: float) -> float:
-        return lr * self.scale_table[i // 2]
-
-    def _check_tables(self, net: Network) -> None:
-        if len(self.scale_table) != len(net.layers):
-            raise ShapeError(
-                f"scale table has {len(self.scale_table)} entries for "
-                f"{len(net.layers)} layers"
-            )
+    def _effective_lr(self, net: Network, lr: float) -> np.ndarray:
+        """``lr * S`` broadcast over each layer's weights and bias; rebuilt
+        only when ``lr`` or the network layout changes."""
+        if self._lr_key != (lr, net.shapes):
+            if len(self.scale_table) != len(net.layers):
+                raise ShapeError(
+                    f"scale table has {len(self.scale_table)} entries for "
+                    f"{len(net.layers)} layers"
+                )
+            sizes = [w.size + b.size for w, b in net.layers]
+            self._lr_vector = np.repeat([lr * s for s in self.scale_table.factors], sizes)
+            self._lr_key = (lr, net.shapes)
+        return self._lr_vector
 
     def to_checkpoint(self) -> dict:
         payload = super().to_checkpoint()

@@ -1,5 +1,6 @@
 """End-to-end runs of the ``caadam`` command-line interface (in-process)."""
 
+import hashlib
 import json
 
 import pytest
@@ -142,6 +143,28 @@ def test_curves_merges_per_trial_logs(tmp_path, capsys):
     assert "merged 12 epoch rows" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("change", [
+    {"trials": "abc"},
+    {"train": {"batch_size": "64"}},
+    {"dataset": [1]},
+    {"dataset": {"kind": "synth_regression", "n": "abc"}},
+    {"architectures": [4]},
+    {"architectures": [[4.7]]},
+    {"split": 0.5},
+    {"base_seed": "1"},
+    {"optimizers": [{"algorithm": "adam", "learning_rate": "x"}]},
+    {"optimizers": [{"algorithm": "adam"}, {"algorithm": ["sgd"]}]},
+    {"optimizers": [{"algorithm": "adam"}, {"algorithm": "caadam", "scaling": [1]}]},
+    {"optimizers": [{"algorithm": "adam"}, {"algorithm": "sgd", "label": 5}]},
+    {"optimizers": [{"algorithm": "adam"}, 3]},
+])
+def test_malformed_config_is_config_error(tmp_path, capsys, change):
+    cfg = write_config(tmp_path, {**SMALL_CONFIG, **change})
+    code = main(["benchmark", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_invalid_json_config_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -233,3 +256,29 @@ def test_unknown_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+# Every update rule on a small regression grid.  The hash was recorded from
+# the per-tensor optimizer that preceded the flat parameter vector; a change
+# that keeps every element's arithmetic keeps trials.json byte-identical.
+GOLDEN_CONFIG = {
+    "dataset": {"kind": "synth_regression", "n": 300, "m": 4,
+                "noise_std": 0.3, "seed": 11},
+    "architectures": [[8], [8, 4]],
+    "optimizers": [{"algorithm": a} for a in (
+        "sgd", "adagrad", "adadelta", "rmsprop", "adam", "adamw", "adamax", "nadam")]
+    + [{"algorithm": "caadam", "scaling": kind}
+       for kind in ("additive", "multiplicative", "depth_based")],
+    "train": {"batch_size": 32, "max_epochs": 3},
+    "trials": 2,
+    "base_seed": 300,
+}
+GOLDEN_TRIALS_SHA256 = "9dbc26b4b0bf13d64dc6d9f5847d381e312a6cdc4d0c3f387d12e87c11faad7a"
+
+
+def test_benchmark_trials_json_matches_golden_hash(tmp_path):
+    cfg = write_config(tmp_path, GOLDEN_CONFIG)
+    out = tmp_path / "run"
+    assert main(["benchmark", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+    digest = hashlib.sha256((out / "trials.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRIALS_SHA256

@@ -12,10 +12,8 @@ from caadam.linalg import make_rng
 from caadam.nn import (
     CLASSIFICATION,
     REGRESSION,
-    GradientSet,
     Network,
     NetworkSpec,
-    apply_update,
     backward,
     forward,
     init_network,
@@ -251,9 +249,8 @@ def test_network_spec_validation():
 
 def test_parameters_order_and_snapshot_roundtrip():
     net = init_network(NetworkSpec(3, (4,), 2), make_rng(2))
-    params = net.parameters()
-    assert len(params) == 4
-    assert params[0] is net.layers[0][0] and params[1] is net.layers[0][1]
+    w0, b0 = net.layers[0]
+    assert_array_equal(net.flat[: w0.size + b0.size], np.concatenate([w0.ravel(), b0]))
     snap = net.copy_weights()
     net.layers[0][0][0, 0] += 1.0
     assert net.layers[0][0][0, 0] != snap[0][0][0, 0]  # snapshot is a copy
@@ -263,16 +260,3 @@ def test_parameters_order_and_snapshot_roundtrip():
         assert_array_equal(b, sb)
     with pytest.raises(ShapeError):
         net.set_weights(snap[:1])
-
-
-def test_apply_update_shifts_in_place_and_checks_shapes():
-    net = init_network(NetworkSpec(2, (), 1), make_rng(4))
-    before = net.layers[0][0].copy()
-    delta = GradientSet(layers=[(np.ones((2, 1)), np.ones(1))])
-    out = apply_update(net, delta)
-    assert out is net
-    assert_array_equal(net.layers[0][0], before + 1.0)
-    with pytest.raises(ShapeError):
-        apply_update(net, GradientSet(layers=[(np.ones((3, 1)), np.ones(1))]))
-    with pytest.raises(ShapeError):
-        apply_update(net, GradientSet(layers=[]))

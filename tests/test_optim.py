@@ -11,7 +11,7 @@ import oracles
 from caadam.arch import summarize
 from caadam.errors import ConfigError, NonFiniteError, ShapeError
 from caadam.linalg import make_rng
-from caadam.nn import GradientSet, Network, NetworkSpec, init_network
+from caadam.nn import GradientSet, Network, NetworkSpec, backward, forward, init_network
 from caadam.optim import (
     ALGORITHMS,
     Adam,
@@ -287,3 +287,108 @@ def test_checkpoint_preserves_accumulators_exactly():
         assert set(slot_a) == set(slot_b)
         for name in slot_a:
             assert_array_equal(slot_a[name], slot_b[name])
+
+
+# to_checkpoint() of adam and caadam after the first 5 steps of
+# _drive_batches, written by the per-tensor optimizer that preceded the flat
+# parameter vector.  Checkpoint version 1 stores one slot dict per tensor
+# (W0, b0, W1, b1) with the tensor's shape.
+V1_CHECKPOINTS = {'adam': {'algorithm': 'adam',
+                           'config': {'beta1': 0.9,
+                                      'beta2': 0.999,
+                                      'decay': 0.9,
+                                      'eps': 1e-08,
+                                      'learning_rate': 0.001,
+                                      'weight_decay': 0.004},
+                           'slots': [{'m': [[0.01643285740489766,
+                                             -0.00029013790549957017,
+                                             0.04910944173785192],
+                                            [0.027561185739682453,
+                                             0.02100950101931291,
+                                             -0.06967793783541018]],
+                                      'v': [[8.29411892674195e-06,
+                                             3.906465757115234e-09,
+                                             9.763100016767071e-05],
+                                            [2.334892154688946e-05,
+                                             2.048361264446337e-05,
+                                             0.00015923588810737348]]},
+                                     {'m': [-0.017825364657556693,
+                                            0.037203973986850214,
+                                            -0.07567713647155026],
+                                      'v': [9.748949268908388e-06,
+                                            6.888410748494289e-05,
+                                            0.00017259944020849482]},
+                                     {'m': [[0.15584594126560397],
+                                            [-0.01372616544181664],
+                                            [-0.1140935295154708]],
+                                      'v': [[0.0007524454619445073],
+                                            [1.3639227981415387e-05],
+                                            [0.00037936615800689827]]},
+                                     {'m': [-0.004846900534020876], 'v': [2.5640662177631296e-05]}],
+                           't': 5,
+                           'version': 1},
+                  'caadam': {'algorithm': 'caadam',
+                             'config': {'beta1': 0.9,
+                                        'beta2': 0.999,
+                                        'decay': 0.9,
+                                        'eps': 1e-08,
+                                        'learning_rate': 0.001,
+                                        'scaling': {'gamma': 0.95,
+                                                    'kind': 'multiplicative',
+                                                    'multiplicative_sigma': 'signed'},
+                                        'weight_decay': 0.004},
+                             'scale_table': [0.95, 1.0526315789473684],
+                             'slots': [{'m': [[0.017050799566586904,
+                                               -0.00028561161250469097,
+                                               0.050534931569499994],
+                                              [0.028241628588848357,
+                                               0.020681742544852687,
+                                               -0.0711352239347856]],
+                                        'v': [[8.958453685792267e-06,
+                                               3.820249751124699e-09,
+                                               0.00010328932215996204],
+                                              [2.461436325194745e-05,
+                                               2.003153770505139e-05,
+                                               0.00016633994185830505]]},
+                                       {'m': [-0.01825048037860932,
+                                              0.03667209662442419,
+                                              -0.07690668909740393],
+                                        'v': [1.0263785833815529e-05,
+                                              6.764609992624536e-05,
+                                              0.0001784164487930592]},
+                                       {'m': [[0.1527366874726468],
+                                              [-0.014370138580674133],
+                                              [-0.11057826629030426]],
+                                        'v': [[0.000727789539293408],
+                                              [1.404678096149267e-05],
+                                              [0.0003562139928715753]]},
+                                       {'m': [-0.004608774236268404], 'v': [2.515922514666116e-05]}],
+                             't': 5,
+                             'version': 1}}
+
+
+def _drive_batches(opt, net, steps):
+    rng = make_rng(41)
+    x = rng.normal(size=(5, 2))
+    y = rng.normal(size=(5, 1))
+    for k in steps:
+        _, cache = forward(net, x * (1.0 + 0.1 * k))
+        opt.step(net, backward(net, cache, y), lr=0.05)
+
+
+@pytest.mark.parametrize("algorithm", sorted(V1_CHECKPOINTS))
+def test_v1_checkpoint_literal_loads_and_resumes_bit_exactly(algorithm):
+    config = OptimizerConfig(algorithm)
+    if algorithm == "caadam":
+        config = OptimizerConfig(algorithm, scaling=ScalingStrategy("multiplicative"))
+    net = init_network(NetworkSpec(2, (3,), 1), make_rng(40))
+    opt = make_optimizer(config, net)
+    _drive_batches(opt, net, range(5))
+    assert opt.to_checkpoint() == V1_CHECKPOINTS[algorithm]
+
+    restored = from_checkpoint(V1_CHECKPOINTS[algorithm])
+    twin = Network(spec=net.spec, layers=net.copy_weights())
+    _drive_batches(opt, net, range(5, 10))
+    _drive_batches(restored, twin, range(5, 10))
+    assert restored.t == 10
+    assert twin.flat.tobytes() == net.flat.tobytes()
