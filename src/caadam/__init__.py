@@ -111,7 +111,6 @@ from .stats import (
     WelchResult,
     regularized_incomplete_beta,
     significance_stars,
-    student_t_cdf,
     student_t_two_sided_p,
     welch_one_sided_p,
     welch_t_test,

@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .data import (
     CLASSIFICATION_TASK,
@@ -95,9 +95,6 @@ class ExperimentConfig:
         labels = [e.label for e in self.optimizers]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate optimizer labels: {labels}")
-        if not any(e.config.algorithm == "adam" and e.config.scaling is None
-                   for e in self.optimizers):
-            raise ConfigError("the grid needs a plain 'adam' entry as comparison baseline")
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class TrialResult:
 # config parsing
 
 _OPTIMIZER_KEYS = {
-    "algorithm", "label", "learning_rate", "beta1", "beta2", "eps",
+    "algorithm", "label", "beta1", "beta2", "eps",
     "decay", "weight_decay", "scaling", "gamma", "sigma",
 }
 
@@ -133,6 +130,15 @@ def _checked(value, kinds: tuple, what: str):
 _INT = (int,)
 _NUMBER = (int, float)
 _LIST = (list, tuple)
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float; an integer too large for one is a config error."""
+    try:
+        return float(_checked(value, _NUMBER, what))
+    except OverflowError:
+        raise ConfigError(f"{what} is too large for a float") from None
+
 
 _TRAIN_KEYS = {
     "batch_size": _INT, "max_epochs": _INT, "early_stop_patience": _INT,
@@ -153,6 +159,9 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
     not take one.  Unknown keys are errors rather than silently ignored.
     """
     unknown = set(_checked(spec, (dict,), "optimizer entry")) - _OPTIMIZER_KEYS
+    if "learning_rate" in unknown:
+        raise ConfigError("an optimizer entry takes no 'learning_rate'; every optimizer "
+                          "starts from train.initial_lr")
     if unknown:
         raise ConfigError(f"unknown optimizer config keys: {sorted(unknown)}")
     if "algorithm" not in spec:
@@ -165,7 +174,7 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
             raise ConfigError(f"'scaling' is only valid for caadam, not {algorithm!r}")
         strategy_args = {"kind": _checked(spec["scaling"], (str,), "scaling")}
         if "gamma" in spec:
-            strategy_args["gamma"] = float(_checked(spec["gamma"], _NUMBER, "gamma"))
+            strategy_args["gamma"] = _number(spec["gamma"], "gamma")
         if "sigma" in spec:
             strategy_args["multiplicative_sigma"] = spec["sigma"]
         scaling = ScalingStrategy(**strategy_args)
@@ -175,9 +184,9 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
         raise ConfigError("'gamma'/'sigma' are only valid together with 'scaling'")
 
     kwargs = {}
-    for key in ("learning_rate", "beta1", "beta2", "eps", "decay", "weight_decay"):
+    for key in ("beta1", "beta2", "eps", "decay", "weight_decay"):
         if key in spec:
-            kwargs[key] = float(_checked(spec[key], _NUMBER, key))
+            kwargs[key] = _number(spec[key], key)
     config = OptimizerConfig(algorithm=algorithm, scaling=scaling, **kwargs)
     label = _checked(spec.get("label", default_label(config)), (str,), "label")
     return OptimizerEntry(label=label, config=config)
@@ -198,8 +207,9 @@ def experiment_from_dict(payload: dict) -> ExperimentConfig:
     unknown = train_spec.keys() - _TRAIN_KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    train_cfg = TrainConfig(**{key: _checked(value, _TRAIN_KEYS[key], key)
-                               for key, value in train_spec.items()})
+    train_cfg = TrainConfig(**{
+        key: _number(value, key) if _TRAIN_KEYS[key] is _NUMBER else _checked(value, _INT, key)
+        for key, value in train_spec.items()})
 
     kwargs = {}
     if "trials" in payload:
@@ -210,7 +220,7 @@ def experiment_from_dict(payload: dict) -> ExperimentConfig:
         split = _checked(payload["split"], _LIST, "split")
         if len(split) != 3:
             raise ConfigError(f"split must have 3 fractions, got {split}")
-        kwargs["split"] = tuple(float(_checked(f, _NUMBER, "split fraction")) for f in split)
+        kwargs["split"] = tuple(_number(f, "split fraction") for f in split)
     return ExperimentConfig(
         dataset=dict(_checked(payload["dataset"], (dict,), "dataset")),
         architectures=tuple(
@@ -238,16 +248,16 @@ def load_dataset(spec: dict) -> Dataset:
         out = synth_regression(
             n=_checked(spec.pop("n", 2000), _INT, "n"),
             m=_checked(spec.pop("m", 8), _INT, "m"),
-            noise_std=float(_checked(spec.pop("noise_std", 0.0), _NUMBER, "noise_std")),
+            noise_std=_number(spec.pop("noise_std", 0.0), "noise_std"),
             seed=_checked(spec.pop("seed", 0), _INT, "seed"),
-            scale=float(_checked(spec.pop("scale", 1.0), _NUMBER, "scale")),
+            scale=_number(spec.pop("scale", 1.0), "scale"),
         )
     elif kind == "synth_classification":
         out = synth_classification(
             n=_checked(spec.pop("n", 2000), _INT, "n"),
             m=_checked(spec.pop("m", 8), _INT, "m"),
             classes=_checked(spec.pop("classes", 3), _INT, "classes"),
-            spread=float(_checked(spec.pop("spread", 1.0), _NUMBER, "spread")),
+            spread=_number(spec.pop("spread", 1.0), "spread"),
             seed=_checked(spec.pop("seed", 0), _INT, "seed"),
         )
     elif kind == "csv":
@@ -398,6 +408,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
 
 @dataclass
 class CellStats:
+    """One row of the report; the fields after ``cell`` are its CSV columns, in order."""
+
     cell: str
     architecture: str
     optimizer: str
@@ -405,14 +417,14 @@ class CellStats:
     n_diverged: int
     metric_mean: float
     metric_std: float
-    epochs_mean: float
-    epochs_std: float
-    time_mean: float
-    time_std: float
     metric_improvement_pct: float
     metric_t: float
     metric_p: float
     metric_stars: str
+    epochs_mean: float
+    epochs_std: float
+    time_mean: float
+    time_std: float
     time_improvement_pct: float
     time_t: float
     time_p: float
@@ -428,8 +440,8 @@ class ComparisonReport:
     method: str = "welch_t_test"
 
 
-def _mean_std(values) -> tuple[float, float]:
-    xs = [float(v) for v in values if not math.isnan(float(v))]
+def _mean_std(xs: list[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation; NaN where undefined."""
     if not xs:
         return math.nan, math.nan
     mean = math.fsum(xs) / len(xs)
@@ -439,21 +451,22 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _improvement_pct(base_mean: float, cell_mean: float, higher_is_better: bool) -> float:
-    if math.isnan(base_mean) or math.isnan(cell_mean) or base_mean == 0.0:
-        return math.nan
-    if higher_is_better:
-        return (cell_mean - base_mean) / base_mean * 100.0
-    return (base_mean - cell_mean) / base_mean * 100.0
-
-
-def _compare(cell_values, base_values) -> tuple[float, float, str]:
-    cell = [v for v in cell_values if not math.isnan(v)]
-    base = [v for v in base_values if not math.isnan(v)]
-    if len(cell) < 2 or len(base) < 2:
-        return math.nan, math.nan, ""
-    res = welch_t_test(cell, base)
-    return res.t, res.p, significance_stars(res.p)
+def _versus(values, base_values, higher_is_better: bool) -> tuple:
+    """``values`` against the baseline's, NaNs dropped:
+    (mean, std, improvement %, Welch t, p, stars), NaN or '' where undefined."""
+    xs = [float(v) for v in values if not math.isnan(v)]
+    base = [float(v) for v in base_values if not math.isnan(v)]
+    mean, std = _mean_std(xs)
+    base_mean, _ = _mean_std(base)
+    if math.isnan(mean) or math.isnan(base_mean) or base_mean == 0.0:
+        improvement = math.nan
+    else:
+        gain = mean - base_mean if higher_is_better else base_mean - mean
+        improvement = gain / base_mean * 100.0
+    if len(xs) < 2 or len(base) < 2:
+        return mean, std, improvement, math.nan, math.nan, ""
+    res = welch_t_test(xs, base)
+    return mean, std, improvement, res.t, res.p, significance_stars(res.p)
 
 
 def build_report(trials: list[TrialResult], baseline: str = "adam") -> ComparisonReport:
@@ -479,42 +492,13 @@ def build_report(trials: list[TrialResult], baseline: str = "adam") -> Compariso
             )
 
     for (arch, opt), rows in sorted(by_cell.items()):
-        base_rows = by_cell[(arch, baseline)]
         valid = [r for r in rows if r.stop_reason != STOP_DIVERGED]
-        base_valid = [r for r in base_rows if r.stop_reason != STOP_DIVERGED]
-
-        metric_mean, metric_std = _mean_std([r.metric for r in valid])
-        epochs_mean, epochs_std = _mean_std([r.epochs_run for r in valid])
-        time_mean, time_std = _mean_std([r.wall_time_s for r in valid])
-        base_metric_mean, _ = _mean_std([r.metric for r in base_valid])
-        base_time_mean, _ = _mean_std([r.wall_time_s for r in base_valid])
-
-        metric_t, metric_p, metric_stars = _compare(
-            [r.metric for r in valid], [r.metric for r in base_valid])
-        time_t, time_p, time_stars = _compare(
-            [r.wall_time_s for r in valid], [r.wall_time_s for r in base_valid])
-
+        base = [r for r in by_cell[(arch, baseline)] if r.stop_reason != STOP_DIVERGED]
         report.cells.append(CellStats(
-            cell=f"{arch}|{opt}",
-            architecture=arch,
-            optimizer=opt,
-            n_trials=len(rows),
-            n_diverged=len(rows) - len(valid),
-            metric_mean=metric_mean,
-            metric_std=metric_std,
-            epochs_mean=epochs_mean,
-            epochs_std=epochs_std,
-            time_mean=time_mean,
-            time_std=time_std,
-            metric_improvement_pct=_improvement_pct(
-                base_metric_mean, metric_mean, higher_is_better),
-            metric_t=metric_t,
-            metric_p=metric_p,
-            metric_stars=metric_stars,
-            time_improvement_pct=_improvement_pct(base_time_mean, time_mean, False),
-            time_t=time_t,
-            time_p=time_p,
-            time_stars=time_stars,
+            f"{arch}|{opt}", arch, opt, len(rows), len(rows) - len(valid),
+            *_versus([r.metric for r in valid], [r.metric for r in base], higher_is_better),
+            *_mean_std([float(r.epochs_run) for r in valid]),
+            *_versus([r.wall_time_s for r in valid], [r.wall_time_s for r in base], False),
         ))
     return report
 
@@ -548,8 +532,8 @@ def format_report_table(report: ComparisonReport) -> str:
 # persistence
 
 
-def _metric_to_json(value: float):
-    return None if math.isnan(value) else value
+def _nan_to_none(value):
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def save_trials(trials: list[TrialResult], path) -> None:
@@ -560,7 +544,7 @@ def save_trials(trials: list[TrialResult], path) -> None:
             "architecture": t.architecture,
             "optimizer": t.optimizer,
             "seed": t.seed,
-            "metric": _metric_to_json(t.metric),
+            "metric": _nan_to_none(t.metric),
             "epochs_run": t.epochs_run,
             "stop_reason": t.stop_reason,
         }
@@ -617,48 +601,26 @@ def load_trials(path, timings_path=None) -> list[TrialResult]:
     return out
 
 
-_REPORT_COLUMNS = [
-    "architecture", "optimizer", "n_trials", "n_diverged",
-    "metric_mean", "metric_std", "metric_improvement_pct",
-    "metric_t", "metric_p", "metric_stars",
-    "epochs_mean", "epochs_std",
-    "time_mean", "time_std", "time_improvement_pct",
-    "time_t", "time_p", "time_stars",
-]
-
-
-def report_to_dict(report: ComparisonReport) -> dict:
-    return {
-        "method": report.method,
-        "baseline": report.baseline,
-        "metric": report.metric_name,
-        "higher_is_better": report.higher_is_better,
-        "cells": [
-            {col: getattr(c, col) for col in _REPORT_COLUMNS} for c in report.cells
-        ],
-    }
+_REPORT_COLUMNS = [f.name for f in fields(CellStats)][1:]
 
 
 def save_report(report: ComparisonReport, json_path=None, csv_path=None) -> None:
+    """Write the report as JSON and/or CSV; NaN becomes null or an empty field."""
+    rows = [{col: _nan_to_none(getattr(c, col)) for col in _REPORT_COLUMNS}
+            for c in report.cells]
     if json_path is not None:
-        payload = report_to_dict(report)
-        for cell in payload["cells"]:
-            for key, value in cell.items():
-                if isinstance(value, float) and math.isnan(value):
-                    cell[key] = None
+        payload = {
+            "method": report.method,
+            "baseline": report.baseline,
+            "metric": report.metric_name,
+            "higher_is_better": report.higher_is_better,
+            "cells": rows,
+        }
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if csv_path is not None:
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_REPORT_COLUMNS)
-            for c in report.cells:
-                row = []
-                for col in _REPORT_COLUMNS:
-                    value = getattr(c, col)
-                    if isinstance(value, float):
-                        row.append("" if math.isnan(value) else repr(value))
-                    else:
-                        row.append(value)
-                writer.writerow(row)
+            writer = csv.DictWriter(fh, _REPORT_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)

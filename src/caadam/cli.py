@@ -41,7 +41,7 @@ def _load_config(path) -> bench.ExperimentConfig:
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return bench.experiment_from_dict(payload)
 
@@ -86,10 +86,29 @@ def _cmd_train(args) -> int:
     return EXIT_DIVERGED if log.stop_reason == STOP_DIVERGED else EXIT_OK
 
 
+def _report(trials, baseline: str, out_dir) -> int:
+    """Compare ``trials`` against ``baseline``, write report.json/csv under
+    ``out_dir`` (when given) and print the table."""
+    if all(t.stop_reason == STOP_DIVERGED for t in trials):
+        print("every trial diverged; nothing to compare", file=sys.stderr)
+        return EXIT_DIVERGED
+    report = bench.build_report(trials, baseline=baseline)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        bench.save_report(report, os.path.join(out_dir, "report.json"),
+                          os.path.join(out_dir, "report.csv"))
+    print(bench.format_report_table(report))
+    return EXIT_OK
+
+
 def _cmd_benchmark(args) -> int:
     cfg = _load_config(args.config)
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
+    labels = [e.label for e in cfg.optimizers]
+    if args.baseline not in labels:
+        raise ConfigError(f"baseline {args.baseline!r} is not an optimizer label "
+                          f"of the config {labels}")
     os.makedirs(args.out, exist_ok=True)
     log_dir = os.path.join(args.out, "logs")
 
@@ -106,30 +125,16 @@ def _cmd_benchmark(args) -> int:
                                   progress=progress)
     bench.save_trials(trials, os.path.join(args.out, "trials.json"))
     bench.save_timings(trials, os.path.join(args.out, "timings.json"))
-    if all(t.stop_reason == STOP_DIVERGED for t in trials):
-        print("every trial diverged; no report written", file=sys.stderr)
-        return EXIT_DIVERGED
-    report = bench.build_report(trials, baseline=args.baseline)
-    bench.save_report(report, os.path.join(args.out, "report.json"),
-                      os.path.join(args.out, "report.csv"))
     print()
-    print(bench.format_report_table(report))
-    print(f"\noutputs in {args.out}")
-    return EXIT_OK
+    code = _report(trials, args.baseline, args.out)
+    if code == EXIT_OK:
+        print(f"\noutputs in {args.out}")
+    return code
 
 
 def _cmd_report(args) -> int:
     trials = bench.load_trials(args.trials, timings_path=args.timings)
-    if all(t.stop_reason == STOP_DIVERGED for t in trials):
-        print("every trial diverged; nothing to compare", file=sys.stderr)
-        return EXIT_DIVERGED
-    report = bench.build_report(trials, baseline=args.baseline)
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        bench.save_report(report, os.path.join(args.out, "report.json"),
-                          os.path.join(args.out, "report.csv"))
-    print(bench.format_report_table(report))
-    return EXIT_OK
+    return _report(trials, args.baseline, args.out)
 
 
 def _cmd_curves(args) -> int:

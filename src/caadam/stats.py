@@ -89,12 +89,6 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
-def student_t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for the Student-t distribution."""
-    half = 0.5 * student_t_two_sided_p(t, df)
-    return half if t < 0.0 else 1.0 - half
-
-
 @dataclass(frozen=True)
 class WelchResult:
     t: float

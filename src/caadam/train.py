@@ -126,9 +126,6 @@ class TrainLog:
     best_val_loss: float = math.inf
     best_weights: list | None = None
 
-    def lr_sequence(self) -> list[float]:
-        return [r.lr for r in self.records]
-
 
 def export_log_csv(log: TrainLog, path) -> None:
     """Write the deterministic part of a TrainLog (epoch, losses, lr) as CSV."""

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from caadam.bench import (
@@ -327,7 +329,7 @@ def test_optimizer_entry_from_dict_scaling_rules():
     with pytest.raises(ConfigError, match="unknown optimizer config keys"):
         optimizer_entry_from_dict({"algorithm": "adam", "momentum": 0.9})
     with pytest.raises(ConfigError, match="needs an 'algorithm'"):
-        optimizer_entry_from_dict({"learning_rate": 0.1})
+        optimizer_entry_from_dict({"beta1": 0.1})
 
 
 def test_default_labels():
@@ -378,6 +380,68 @@ def test_experiment_from_dict_rejects_unknowns_and_bad_shapes():
         experiment_from_dict([base])
 
 
+# JSON-like values, including the ones a parser must turn away: bools where
+# numbers go, integers past the float range, NaN/inf, and nested containers.
+_EDGE = st.sampled_from([None, True, 10 ** 400, -10 ** 400, math.nan, -math.inf, "1"])
+_JSONISH = st.recursive(
+    _EDGE | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+# (where, key) -> plausible values; "entry" is the second optimizer entry.
+_PLAUSIBLE = {
+    ("experiment", "dataset"): [{}], ("experiment", "architectures"): [[[4, 2]], [[0]], []],
+    ("experiment", "optimizers"): [[]], ("experiment", "trials"): [3, 1],
+    ("experiment", "base_seed"): [7], ("experiment", "split"): [[0.6, 0.2, 0.2], [0.5]],
+    ("train", "batch_size"): [1, 0], ("train", "max_epochs"): [3],
+    ("train", "early_stop_patience"): [2], ("train", "early_stop_min_delta"): [-1.0],
+    ("train", "lr_reduce_factor"): [0.5, 1.0], ("train", "lr_reduce_patience"): [6],
+    ("train", "min_lr"): [2.5e-5, 1.0], ("train", "initial_lr"): [1e-2],
+    ("entry", "algorithm"): ["adam", "sgd", "nope"], ("entry", "label"): ["adam", "b|c", ""],
+    ("entry", "learning_rate"): [0.1], ("entry", "beta1"): [0.5, 1.0],
+    ("entry", "beta2"): [0.999], ("entry", "eps"): [1e-8, 0.0], ("entry", "decay"): [1.5],
+    ("entry", "weight_decay"): [0.0], ("entry", "scaling"): ["additive", "depth", "x"],
+    ("entry", "gamma"): [0.5, -2.0], ("entry", "sigma"): ["signed", "unsigned"],
+}
+# _EDGE once more on its own, so the values most likely to break a parser come often.
+_MUTATION = st.sampled_from(sorted(_PLAUSIBLE)).flatmap(
+    lambda where_key: st.tuples(st.just(where_key),
+                                _EDGE | _JSONISH | st.sampled_from(_PLAUSIBLE[where_key])))
+
+
+def _mutated_config(mutations):
+    payload = {
+        "dataset": {"kind": "synth_regression"}, "architectures": [[4]], "train": {},
+        "optimizers": [{"algorithm": "adam"},
+                       {"algorithm": "caadam", "scaling": "multiplicative"}],
+    }
+    places = {"experiment": payload, "train": payload["train"],
+              "entry": payload["optimizers"][1]}
+    for (where, key), value in mutations:
+        places[where][key] = value
+    return payload
+
+
+_EXPERIMENT = st.lists(_MUTATION, min_size=1, max_size=3).map(_mutated_config)
+
+
+# Parsing only: a fuzzed size never reaches a dataset, network or grid.
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_EXPERIMENT)
+@example(_mutated_config([(("entry", "beta1"), 10 ** 400)]))
+@example(_mutated_config([(("train", "early_stop_min_delta"), -10 ** 400)]))
+def test_experiment_from_dict_accepts_or_raises_config_error(payload):
+    try:
+        cfg = experiment_from_dict(payload)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigError, match="trials must be >= 2"):
         tiny_config(trials=1)
@@ -389,8 +453,6 @@ def test_experiment_config_validation():
         tiny_config(optimizers=())
     with pytest.raises(ConfigError, match="duplicate optimizer labels"):
         tiny_config(optimizers=(ADAM, ADAM))
-    with pytest.raises(ConfigError, match="comparison baseline"):
-        tiny_config(optimizers=(CAADAM_MULT,))
     with pytest.raises(ConfigError, match="bad optimizer label"):
         OptimizerEntry("a|b", OptimizerConfig("adam"))
 

@@ -126,6 +126,19 @@ def test_report_rebuilds_from_trials(tmp_path, capsys):
     assert again == original
 
 
+def test_report_command_rebuilds_benchmark_report_byte_for_byte(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    run = tmp_path / "run"
+    assert main(["benchmark", "--config", cfg, "--out", str(run),
+                 "--quiet"]) == EXIT_OK
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", "--trials", str(run / "trials.json"),
+                 "--timings", str(run / "timings.json"),
+                 "--out", str(rebuilt)]) == EXIT_OK
+    for name in ("report.json", "report.csv"):
+        assert (rebuilt / name).read_bytes() == (run / name).read_bytes()
+
+
 def test_curves_merges_per_trial_logs(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     run = tmp_path / "run"
@@ -143,6 +156,9 @@ def test_curves_merges_per_trial_logs(tmp_path, capsys):
     assert "merged 12 epoch rows" in capsys.readouterr().out
 
 
+HUGE = 10 ** 400  # a 401-digit JSON integer, past the float range
+
+
 @pytest.mark.parametrize("change", [
     {"trials": "abc"},
     {"train": {"batch_size": "64"}},
@@ -152,17 +168,55 @@ def test_curves_merges_per_trial_logs(tmp_path, capsys):
     {"architectures": [[4.7]]},
     {"split": 0.5},
     {"base_seed": "1"},
-    {"optimizers": [{"algorithm": "adam", "learning_rate": "x"}]},
+    {"optimizers": [{"algorithm": "adam", "beta1": "x"}]},
     {"optimizers": [{"algorithm": "adam"}, {"algorithm": ["sgd"]}]},
     {"optimizers": [{"algorithm": "adam"}, {"algorithm": "caadam", "scaling": [1]}]},
     {"optimizers": [{"algorithm": "adam"}, {"algorithm": "sgd", "label": 5}]},
     {"optimizers": [{"algorithm": "adam"}, 3]},
+    {"optimizers": [{"algorithm": "adam", "beta1": HUGE}]},
+    {"optimizers": [{"algorithm": "adam"},
+                    {"algorithm": "caadam", "scaling": "additive", "gamma": -HUGE}]},
+    {"dataset": {"kind": "synth_regression", "noise_std": HUGE}},
+    {"split": [HUGE, 0.2, 0.2]},
+    {"train": {"early_stop_min_delta": HUGE}},
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, change):
     cfg = write_config(tmp_path, {**SMALL_CONFIG, **change})
     code = main(["benchmark", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+def test_optimizer_learning_rate_key_is_config_error(tmp_path, capsys):
+    change = {"optimizers": [{"algorithm": "adam", "learning_rate": 0.5}]}
+    cfg = write_config(tmp_path, {**SMALL_CONFIG, **change})
+    code = main(["benchmark", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "initial_lr" in err
+
+
+def test_integer_past_parsing_digit_limit_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "base_seed": 0})
+                    .replace('"base_seed": 0', '"base_seed": ' + "9" * 5000))
+    code = main(["benchmark", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_baseline_missing_from_config_fails_before_any_trial(tmp_path, capsys):
+    change = {"optimizers": [{"algorithm": "adam", "label": "adam-1e3"},
+                             {"algorithm": "caadam", "scaling": "multiplicative"}]}
+    cfg = write_config(tmp_path, {**SMALL_CONFIG, **change})
+    out = tmp_path / "o"
+    code = main(["benchmark", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "trials.json").exists()
+    # the relabelled entry is a valid baseline when named
+    assert main(["benchmark", "--config", cfg, "--out", str(out), "--quiet",
+                 "--baseline", "adam-1e3"]) == EXIT_OK
 
 
 def test_invalid_json_config_is_config_error(tmp_path, capsys):

@@ -15,7 +15,6 @@ from caadam.stats import (
     WelchResult,
     regularized_incomplete_beta,
     significance_stars,
-    student_t_cdf,
     student_t_two_sided_p,
     welch_one_sided_p,
     welch_t_test,
@@ -134,16 +133,6 @@ def test_student_t_edge_cases():
         student_t_two_sided_p(1.0, 0.0)
     with pytest.raises(ValueError):
         student_t_two_sided_p(math.nan, 5.0)
-
-
-def test_student_t_cdf_symmetry():
-    for t in (0.0, 0.3, 2.1):
-        lo = student_t_cdf(-t, 9.0)
-        hi = student_t_cdf(t, 9.0)
-        assert lo + hi == pytest.approx(1.0, abs=1e-14)
-    assert student_t_cdf(0.0, 9.0) == pytest.approx(0.5, abs=1e-14)
-    assert student_t_cdf(-4.0, 6.0) == pytest.approx(
-        sp_stats.t.cdf(-4.0, 6.0), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

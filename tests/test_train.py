@@ -210,7 +210,7 @@ def test_train_records_and_lr_are_well_formed():
     _, log = train(net, make_optimizer(OptimizerConfig("adam")), split, cfg)
     assert log.epochs_run == len(log.records) == 12
     assert [r.epoch for r in log.records] == list(range(1, 13))
-    lrs = log.lr_sequence()
+    lrs = [r.lr for r in log.records]
     assert lrs[0] == cfg.initial_lr
     assert all(a >= b for a, b in zip(lrs, lrs[1:]))
     assert all(r.lr >= cfg.min_lr for r in log.records)
