@@ -21,8 +21,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .data import (
-    CLASSIFICATION_TASK,
     DEFAULT_SPLIT,
     Dataset,
     benchmark_regression,
@@ -85,6 +86,8 @@ class ExperimentConfig:
         object.__setattr__(self, "split", tuple(float(f) for f in self.split))
         if self.trials < 2:
             raise ConfigError(f"trials must be >= 2, got {self.trials}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.architectures:
             raise ConfigError("at least one architecture is required")
         for a in self.architectures:
@@ -108,6 +111,7 @@ class TrialResult:
     epochs_run: int
     wall_time_s: float
     stop_reason: str
+    best_val_loss: float = math.nan  # not saved in trials.json
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +134,7 @@ def _checked(value, kinds: tuple, what: str):
 _INT = (int,)
 _NUMBER = (int, float)
 _LIST = (list, tuple)
+_STR = (str,)
 
 
 def _number(value, what: str) -> float:
@@ -166,13 +171,13 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
         raise ConfigError(f"unknown optimizer config keys: {sorted(unknown)}")
     if "algorithm" not in spec:
         raise ConfigError(f"optimizer entry needs an 'algorithm': {spec}")
-    algorithm = _checked(spec["algorithm"], (str,), "algorithm")
+    algorithm = _checked(spec["algorithm"], _STR, "algorithm")
 
     scaling = None
     if "scaling" in spec:
         if algorithm != "caadam":
             raise ConfigError(f"'scaling' is only valid for caadam, not {algorithm!r}")
-        strategy_args = {"kind": _checked(spec["scaling"], (str,), "scaling")}
+        strategy_args = {"kind": _checked(spec["scaling"], _STR, "scaling")}
         if "gamma" in spec:
             strategy_args["gamma"] = _number(spec["gamma"], "gamma")
         if "sigma" in spec:
@@ -188,7 +193,7 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
         if key in spec:
             kwargs[key] = _number(spec[key], key)
     config = OptimizerConfig(algorithm=algorithm, scaling=scaling, **kwargs)
-    label = _checked(spec.get("label", default_label(config)), (str,), "label")
+    label = _checked(spec.get("label", default_label(config)), _STR, "label")
     return OptimizerEntry(label=label, config=config)
 
 
@@ -238,6 +243,21 @@ def experiment_from_dict(payload: dict) -> ExperimentConfig:
 # dataset specs
 
 
+# The most float64 elements one NumPy array can hold: its byte count must fit an intp.
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 8
+
+
+def _synth_ints(spec: dict, **defaults) -> dict:
+    """Pop the integer options named in ``defaults`` from ``spec``; a negative
+    seed, or n or classes rows of m floats past NumPy's array size, is a config error."""
+    out = {key: _checked(spec.pop(key, value), _INT, key) for key, value in defaults.items()}
+    if out["seed"] < 0:
+        raise ConfigError(f"dataset seed must be >= 0, got {out['seed']}")
+    if max(out["n"], out.get("classes", 0)) * out["m"] > _MAX_ELEMENTS:
+        raise ConfigError(f"dataset sizes {out} are too large for a NumPy array")
+    return out
+
+
 def load_dataset(spec: dict) -> Dataset:
     """Build the experiment dataset from its config mapping."""
     spec = dict(spec)
@@ -246,19 +266,14 @@ def load_dataset(spec: dict) -> Dataset:
         out = benchmark_regression()
     elif kind == "synth_regression":
         out = synth_regression(
-            n=_checked(spec.pop("n", 2000), _INT, "n"),
-            m=_checked(spec.pop("m", 8), _INT, "m"),
+            **_synth_ints(spec, n=2000, m=8, seed=0),
             noise_std=_number(spec.pop("noise_std", 0.0), "noise_std"),
-            seed=_checked(spec.pop("seed", 0), _INT, "seed"),
             scale=_number(spec.pop("scale", 1.0), "scale"),
         )
     elif kind == "synth_classification":
         out = synth_classification(
-            n=_checked(spec.pop("n", 2000), _INT, "n"),
-            m=_checked(spec.pop("m", 8), _INT, "m"),
-            classes=_checked(spec.pop("classes", 3), _INT, "classes"),
+            **_synth_ints(spec, n=2000, m=8, classes=3, seed=0),
             spread=_number(spec.pop("spread", 1.0), "spread"),
-            seed=_checked(spec.pop("seed", 0), _INT, "seed"),
         )
     elif kind == "csv":
         try:
@@ -266,7 +281,7 @@ def load_dataset(spec: dict) -> Dataset:
             target = spec.pop("target")
         except KeyError as exc:
             raise ConfigError(f"csv dataset needs a {exc.args[0]!r} option") from exc
-        out = load_csv(path, target=target, task=spec.pop("task", "regression"))
+        out = load_csv(path, target=target, task=spec.pop("task", REGRESSION))
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     if spec:
@@ -281,11 +296,14 @@ def load_dataset(spec: dict) -> Dataset:
 
 
 def network_spec_for(dataset: Dataset, hidden_sizes) -> NetworkSpec:
-    if dataset.task == CLASSIFICATION_TASK:
-        return NetworkSpec(dataset.n_features, tuple(hidden_sizes),
-                           dataset.n_classes, output_head=CLASSIFICATION)
-    return NetworkSpec(dataset.n_features, tuple(hidden_sizes), 1,
-                       output_head=REGRESSION)
+    output_dim = dataset.n_classes if dataset.task == CLASSIFICATION else 1
+    return NetworkSpec(dataset.n_features, tuple(hidden_sizes), output_dim,
+                       output_head=dataset.task)
+
+
+def _metric_name(task: str) -> str:
+    """The test metric ``evaluate`` computes for ``task``."""
+    return METRIC_ACCURACY if task == CLASSIFICATION else METRIC_RMSE
 
 
 def trial_setup(dataset: Dataset, hidden_sizes, split, trial_seed: int):
@@ -307,7 +325,8 @@ def trial_setup(dataset: Dataset, hidden_sizes, split, trial_seed: int):
 def run_trial(dataset: Dataset, hidden_sizes, entry: OptimizerEntry,
               train_cfg: TrainConfig, split, trial_seed: int,
               log_path=None) -> TrialResult:
-    """One seeded trial: split, init, train, evaluate on the test split."""
+    """One seeded trial: split, init, train, evaluate on the test split; the
+    loss curve goes to ``log_path`` when given.  ``caadam train`` runs one."""
     split_ds, net, shuffle_seed = trial_setup(dataset, hidden_sizes, split, trial_seed)
     opt = make_optimizer(entry.config, net)
     cfg = replace(train_cfg, seed=shuffle_seed)
@@ -320,7 +339,6 @@ def run_trial(dataset: Dataset, hidden_sizes, entry: OptimizerEntry,
         metric = math.nan
     else:
         metric = evaluate(net, split_ds.test)
-    metric_name = METRIC_ACCURACY if dataset.task == CLASSIFICATION_TASK else METRIC_RMSE
 
     if log_path is not None:
         os.makedirs(os.path.dirname(log_path), exist_ok=True)
@@ -332,10 +350,11 @@ def run_trial(dataset: Dataset, hidden_sizes, entry: OptimizerEntry,
         optimizer=entry.label,
         seed=trial_seed,
         metric=metric,
-        metric_name=metric_name,
+        metric_name=_metric_name(dataset.task),
         epochs_run=log.epochs_run,
         wall_time_s=wall,
         stop_reason=log.stop_reason,
+        best_val_loss=log.best_val_loss,
     )
 
 
@@ -441,14 +460,16 @@ class ComparisonReport:
 
 
 def _mean_std(xs: list[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation; NaN where undefined."""
-    if not xs:
+    """Mean and sample standard deviation; NaN where undefined, including
+    where a sum or a square leaves the float range."""
+    try:
+        mean = math.fsum(xs) / len(xs)
+    except (ArithmeticError, ValueError):  # no values, past the float range, or inf + -inf
         return math.nan, math.nan
-    mean = math.fsum(xs) / len(xs)
-    if len(xs) < 2:
+    try:
+        return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in xs) / (len(xs) - 1))
+    except (ArithmeticError, ValueError):  # one value, or past the float range
         return mean, math.nan
-    var = math.fsum((v - mean) ** 2 for v in xs) / (len(xs) - 1)
-    return mean, math.sqrt(var)
 
 
 def _versus(values, base_values, higher_is_better: bool) -> tuple:
@@ -463,9 +484,10 @@ def _versus(values, base_values, higher_is_better: bool) -> tuple:
     else:
         gain = mean - base_mean if higher_is_better else base_mean - mean
         improvement = gain / base_mean * 100.0
-    if len(xs) < 2 or len(base) < 2:
+    try:
+        res = welch_t_test(xs, base)
+    except (ArithmeticError, ValueError):  # fewer than 2 values a side, or past the float range
         return mean, std, improvement, math.nan, math.nan, ""
-    res = welch_t_test(xs, base)
     return mean, std, improvement, res.t, res.p, significance_stars(res.p)
 
 
@@ -497,7 +519,7 @@ def build_report(trials: list[TrialResult], baseline: str = "adam") -> Compariso
         report.cells.append(CellStats(
             f"{arch}|{opt}", arch, opt, len(rows), len(rows) - len(valid),
             *_versus([r.metric for r in valid], [r.metric for r in base], higher_is_better),
-            *_mean_std([float(r.epochs_run) for r in valid]),
+            *_mean_std([r.epochs_run for r in valid]),
             *_versus([r.wall_time_s for r in valid], [r.wall_time_s for r in base], False),
         ))
     return report
@@ -555,9 +577,7 @@ def save_trials(trials: list[TrialResult], path) -> None:
         "metric": trials[0].metric_name if trials else METRIC_RMSE,
         "results": rows,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def save_timings(trials: list[TrialResult], path) -> None:
@@ -566,39 +586,73 @@ def save_timings(trials: list[TrialResult], path) -> None:
         {"cell": t.cell, "seed": t.seed, "wall_time_s": t.wall_time_s}
         for t in sorted(trials, key=lambda t: (t.cell, t.seed))
     ]
+    write_json(path, {"results": rows})
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented, key-sorted JSON with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"results": rows}, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def read_json(path, what: str):
+    """The parsed JSON file at ``path``; a missing, unreadable or invalid
+    file is a ConfigError naming ``what``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+_TRIAL_ROW = {"cell": _STR, "architecture": _STR, "optimizer": _STR, "seed": _INT,
+              "metric": _NUMBER + (type(None),), "epochs_run": _INT, "stop_reason": _STR}
+_TIMING_ROW = {"cell": _STR, "seed": _INT, "wall_time_s": _NUMBER}
+
+
+def _result_rows(payload, path, columns: dict) -> list[dict]:
+    """``payload["results"]``, each row checked to hold ``columns`` of their kinds."""
+    rows = _checked(_checked(payload, (dict,), f"{path}: top level").get("results"),
+                    _LIST, f"{path}: results")
+    for row in rows:
+        missing = columns.keys() - _checked(row, (dict,), f"{path}: result row").keys()
+        if missing:
+            raise ConfigError(f"{path}: result row lacks {sorted(missing)}")
+        for key, kinds in columns.items():
+            _checked(row[key], kinds, f"{path}: {key}")
+    return rows
+
+
 def load_trials(path, timings_path=None) -> list[TrialResult]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read a trials.json, with wall times from ``timings_path`` when that
+    file exists; a missing or malformed file is a ConfigError."""
+    payload = read_json(path, "trials file")
+    rows = _result_rows(payload, path, _TRIAL_ROW)
     if payload.get("version") != TRIALS_VERSION:
         raise ConfigError(f"{path}: unsupported trials version {payload.get('version')!r}")
+    if not rows:
+        raise ConfigError(f"{path} holds no trials")
     timings: dict[tuple[str, int], float] = {}
     if timings_path is not None and os.path.exists(timings_path):
-        with open(timings_path, encoding="utf-8") as fh:
-            for row in json.load(fh)["results"]:
-                timings[(row["cell"], row["seed"])] = float(row["wall_time_s"])
-    metric_name = payload.get("metric", METRIC_RMSE)
-    out = []
-    for row in payload["results"]:
-        arch, _, opt = row["cell"].partition("|")
-        metric = row["metric"]
-        out.append(TrialResult(
-            cell=row["cell"],
-            architecture=row.get("architecture", arch),
-            optimizer=row.get("optimizer", opt),
-            seed=int(row["seed"]),
-            metric=math.nan if metric is None else float(metric),
-            metric_name=metric_name,
-            epochs_run=int(row["epochs_run"]),
-            wall_time_s=timings.get((row["cell"], row["seed"]), math.nan),
-            stop_reason=row["stop_reason"],
-        ))
-    out.sort(key=lambda t: (t.cell, t.seed))
-    return out
+        for row in _result_rows(read_json(timings_path, "timings file"), timings_path,
+                                _TIMING_ROW):
+            timings[(row["cell"], row["seed"])] = _number(row["wall_time_s"], "wall_time_s")
+    metric_name = _checked(payload.get("metric", METRIC_RMSE), _STR, f"{path}: metric")
+    trials = [TrialResult(
+        cell=row["cell"],
+        architecture=row["architecture"],
+        optimizer=row["optimizer"],
+        seed=row["seed"],
+        metric=math.nan if row["metric"] is None else _number(row["metric"], "metric"),
+        metric_name=metric_name,
+        epochs_run=row["epochs_run"],
+        wall_time_s=timings.get((row["cell"], row["seed"]), math.nan),
+        stop_reason=row["stop_reason"],
+    ) for row in rows]
+    return sorted(trials, key=lambda t: (t.cell, t.seed))
 
 
 _REPORT_COLUMNS = [f.name for f in fields(CellStats)][1:]
@@ -616,9 +670,7 @@ def save_report(report: ComparisonReport, json_path=None, csv_path=None) -> None
             "higher_is_better": report.higher_is_better,
             "cells": rows,
         }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(json_path, payload)
     if csv_path is not None:
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, _REPORT_COLUMNS)

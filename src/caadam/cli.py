@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``train``      — one training run (first architecture x first optimizer
-                   of the config), writing a loss-curve CSV and metrics JSON.
+* ``train``      — the benchmark's first trial (first architecture x first
+                   optimizer of the config at ``base_seed``), writing its
+                   loss-curve CSV and metrics JSON.
 * ``benchmark``  — the full repeated-trial grid, writing trials.json,
                    timings.json, report.json/report.csv, and per-trial logs.
 * ``report``     — rebuild a comparison report from an existing trials.json.
@@ -16,18 +17,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
-import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import bench
-from .data import CLASSIFICATION_TASK
 from .errors import ConfigError, DataError
-from .optim import make_optimizer
-from .train import STOP_DIVERGED, export_log_csv, train, evaluate
+from .train import STOP_DIVERGED
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -35,55 +32,18 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
 
-def _load_config(path) -> bench.ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return bench.experiment_from_dict(payload)
-
-
 def _cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    dataset = bench.load_dataset(cfg.dataset)
-    hidden = cfg.architectures[0]
-    entry = cfg.optimizers[0]
-
-    split_ds, net, shuffle_seed = bench.trial_setup(dataset, hidden, cfg.split, cfg.base_seed)
-    opt = make_optimizer(entry.config, net)
-
-    started = time.monotonic()
-    net, log = train(net, opt, split_ds, replace(cfg.train, seed=shuffle_seed))
-    wall = time.monotonic() - started
-
-    os.makedirs(args.out, exist_ok=True)
-    export_log_csv(log, os.path.join(args.out, "log.csv"))
-    if log.stop_reason == STOP_DIVERGED:
-        metric = None
-    else:
-        metric = evaluate(net, split_ds.test)
-    metric_name = (bench.METRIC_ACCURACY if dataset.task == CLASSIFICATION_TASK
-                   else bench.METRIC_RMSE)
-    metrics = {
-        "architecture": bench.arch_label(hidden),
-        "optimizer": entry.label,
-        "metric": metric,
-        "metric_name": metric_name,
-        "epochs_run": log.epochs_run,
-        "best_val_loss": None if math.isinf(log.best_val_loss) else log.best_val_loss,
-        "stop_reason": log.stop_reason,
-        "wall_time_s": wall,
-    }
-    with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"{entry.label} on {bench.arch_label(hidden)}: "
-          f"{metric_name}={'n/a' if metric is None else f'{metric:.6f}'} "
-          f"after {log.epochs_run} epochs ({log.stop_reason}); outputs in {args.out}")
-    return EXIT_DIVERGED if log.stop_reason == STOP_DIVERGED else EXIT_OK
+    cfg = bench.experiment_from_dict(bench.read_json(args.config, "config"))
+    res = bench.run_trial(bench.load_dataset(cfg.dataset), cfg.architectures[0],
+                          cfg.optimizers[0], cfg.train, cfg.split, cfg.base_seed,
+                          log_path=os.path.join(args.out, "log.csv"))
+    metrics = {f.name: getattr(res, f.name) for f in fields(res) if f.name not in ("cell", "seed")}
+    bench.write_json(os.path.join(args.out, "metrics.json"), {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in metrics.items()})
+    metric = "n/a" if math.isnan(res.metric) else f"{res.metric:.6f}"
+    print(f"{res.optimizer} on {res.architecture}: {res.metric_name}={metric} "
+          f"after {res.epochs_run} epochs ({res.stop_reason}); outputs in {args.out}")
+    return EXIT_DIVERGED if res.stop_reason == STOP_DIVERGED else EXIT_OK
 
 
 def _report(trials, baseline: str, out_dir) -> int:
@@ -102,7 +62,7 @@ def _report(trials, baseline: str, out_dir) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = bench.experiment_from_dict(bench.read_json(args.config, "config"))
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
     labels = [e.label for e in cfg.optimizers]

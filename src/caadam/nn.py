@@ -19,23 +19,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import CLASSIFICATION_TASK as CLASSIFICATION, REGRESSION_TASK as REGRESSION
 from .errors import NonFiniteError, ShapeError
 from .linalg import Matrix, as_matrix, glorot_uniform
-
-REGRESSION = "linear_regression"
-CLASSIFICATION = "softmax_classification"
 
 _PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Declarative layer layout: sizes plus activation/head choices."""
+    """Layer sizes plus the output head, which is a dataset task string."""
 
     input_dim: int
     hidden_sizes: tuple[int, ...]
     output_dim: int
-    hidden_activation: str = "relu"
     output_head: str = REGRESSION
 
     def __post_init__(self):
@@ -43,8 +40,6 @@ class NetworkSpec:
         sizes = (self.input_dim, *self.hidden_sizes, self.output_dim)
         if any(s < 1 for s in sizes):
             raise ShapeError(f"all layer sizes must be >= 1, got {sizes}")
-        if self.hidden_activation != "relu":
-            raise ValueError(f"unsupported hidden activation {self.hidden_activation!r}")
         if self.output_head not in (REGRESSION, CLASSIFICATION):
             raise ValueError(f"unsupported output head {self.output_head!r}")
 

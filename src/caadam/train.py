@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CLASSIFICATION_TASK, Dataset, SplitDataset
+from .data import Dataset, SplitDataset
 from .errors import ConfigError, DataError, NonFiniteError
 from .linalg import make_rng
 from .nn import CLASSIFICATION, Network, backward, forward, loss
@@ -83,29 +83,22 @@ class EarlyStopper:
 
 class PlateauScheduler:
     """Multiply the learning rate by ``factor`` after ``patience`` epochs
-    without improvement, never dropping below ``min_lr``.  The stall counter
-    resets after each reduction."""
+    without improvement, never dropping below ``min_lr``.  Stalls are
+    counted by an ``EarlyStopper``, whose counter resets after each cut."""
 
     def __init__(self, initial_lr: float, factor: float, patience: int,
                  min_delta: float, min_lr: float):
         self.lr = initial_lr
         self.factor = factor
-        self.patience = patience
-        self.min_delta = min_delta
         self.min_lr = min_lr
-        self.best = math.inf
-        self.counter = 0
+        self.stalls = EarlyStopper(patience, min_delta)
 
     def update(self, val_loss: float) -> float:
         """Feed one epoch's validation loss; returns the lr for the next epoch."""
-        if val_loss < self.best - self.min_delta:
-            self.best = val_loss
-            self.counter = 0
-        else:
-            self.counter += 1
-            if self.counter >= self.patience:
-                self.lr = max(self.lr * self.factor, self.min_lr)
-                self.counter = 0
+        _, cut = self.stalls.update(val_loss)
+        if cut:
+            self.lr = max(self.lr * self.factor, self.min_lr)
+            self.stalls.counter = 0
         return self.lr
 
 
@@ -138,8 +131,7 @@ def export_log_csv(log: TrainLog, path) -> None:
 
 def _mean_loss(net: Network, ds: Dataset) -> float:
     pred, _ = forward(net, ds.features)
-    head = CLASSIFICATION if ds.task == CLASSIFICATION_TASK else net.spec.output_head
-    return loss(pred, ds.targets, head)
+    return loss(pred, ds.targets, ds.task)
 
 
 def train(net: Network, optimizer: Optimizer, data: SplitDataset,
@@ -162,7 +154,6 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
                                  cfg.min_lr)
     rng = make_rng(cfg.seed)
     log = TrainLog()
-    lr = cfg.initial_lr
     started = time.monotonic()
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -172,7 +163,7 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
                 idx = perm[start : start + cfg.batch_size]
                 pred, cache = forward(net, x_train[idx])
                 grads = backward(net, cache, y_train[idx])
-                optimizer.step(net, grads, lr=lr)
+                optimizer.step(net, grads, lr=scheduler.lr)
             train_loss = _mean_loss(net, data.train)
             val_loss = _mean_loss(net, data.validation)
             if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
@@ -181,7 +172,7 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
             log.stop_reason = STOP_DIVERGED
             break
 
-        log.records.append(EpochRecord(epoch, train_loss, val_loss, lr,
+        log.records.append(EpochRecord(epoch, train_loss, val_loss, scheduler.lr,
                                        time.monotonic() - started))
         log.epochs_run = epoch
 
@@ -189,11 +180,10 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
         if improved:
             log.best_val_loss = val_loss
             log.best_weights = net.copy_weights()
-        next_lr = scheduler.update(val_loss)
         if should_stop:
             log.stop_reason = STOP_EARLY
             break
-        lr = next_lr
+        scheduler.update(val_loss)
     else:
         log.stop_reason = STOP_MAX_EPOCHS
 
@@ -208,7 +198,7 @@ def evaluate(net: Network, ds: Dataset) -> float:
     if ds.n_samples < 1:
         raise DataError("cannot evaluate on an empty dataset")
     pred, _ = forward(net, ds.features)
-    if ds.task == CLASSIFICATION_TASK:
+    if ds.task == CLASSIFICATION:
         picked = np.argmax(pred, axis=1)
         return float(np.mean(picked == np.asarray(ds.targets)))
     diff = pred - ds.targets

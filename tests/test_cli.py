@@ -1,9 +1,13 @@
 """End-to-end runs of the ``caadam`` command-line interface (in-process)."""
 
+import copy
 import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from caadam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 
@@ -101,6 +105,32 @@ def test_train_writes_metrics_and_curve(tmp_path, capsys):
     assert "rmse=" in capsys.readouterr().out
 
 
+def test_train_is_the_first_benchmark_trial(tmp_path):
+    payload = {
+        **SMALL_CONFIG,
+        "dataset": {"kind": "synth_classification", "n": 150, "m": 3, "seed": 5},
+        "optimizers": [{"algorithm": "caadam", "scaling": "depth_based"},
+                       {"algorithm": "adam"}],
+        "train": {"batch_size": 32, "max_epochs": 60, "early_stop_patience": 4,
+                  "early_stop_min_delta": 0.01, "lr_reduce_patience": 2},
+    }
+    cfg = write_config(tmp_path, payload)
+    run, single = tmp_path / "run", tmp_path / "single"
+    assert main(["benchmark", "--config", cfg, "--out", str(run), "--quiet"]) == EXIT_OK
+    assert main(["train", "--config", cfg, "--out", str(single)]) == EXIT_OK
+
+    assert (single / "log.csv").read_bytes() == \
+        (run / "logs" / "4__caadam-depth" / "trial_100.csv").read_bytes()
+    metrics = json.loads((single / "metrics.json").read_text())
+    assert set(metrics) == {"architecture", "optimizer", "metric", "metric_name",
+                            "epochs_run", "best_val_loss", "stop_reason", "wall_time_s"}
+    row, = [r for r in json.loads((run / "trials.json").read_text())["results"]
+            if r["cell"] == "4|caadam-depth" and r["seed"] == 100]
+    for key in ("metric", "epochs_run", "stop_reason"):
+        assert metrics[key] == row[key]
+    assert (metrics["metric_name"], metrics["stop_reason"]) == ("accuracy", "early_stop")
+
+
 def test_report_rebuilds_from_trials(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     run = tmp_path / "run"
@@ -137,6 +167,90 @@ def test_report_command_rebuilds_benchmark_report_byte_for_byte(tmp_path, capsys
                  "--out", str(rebuilt)]) == EXIT_OK
     for name in ("report.json", "report.csv"):
         assert (rebuilt / name).read_bytes() == (run / name).read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    None,  # no file at all
+    "{oops",
+    "[1,2]",
+    json.dumps({"version": 1, "results": [
+        {"cell": "4|adam", "seed": 1, "epochs_run": 3, "stop_reason": "max_epochs"}]}),
+    json.dumps({"version": 1, "results": []}),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-past-recursion-limit"),
+])
+def test_report_on_bad_trials_file_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "trials.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["report", "--trials", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    if text is not None and '"results": []' in text:
+        assert "no trials" in err
+
+
+_VALID_TRIALS = {"version": 1, "metric": "rmse", "results": [
+    {"cell": f"4|{opt}", "architecture": "4", "optimizer": opt, "seed": seed,
+     "metric": metric, "epochs_run": 3, "stop_reason": "max_epochs"}
+    for opt, metrics in (("adam", (1.0, 1.25)), ("sgd", (2.0, 1.5)))
+    for seed, metric in zip((100, 101), metrics)]}
+# JSON values, with the ones a loader must turn away: bools, integers past
+# the float range, NaN/inf, huge floats, and nested containers.
+_JSON = st.recursive(
+    st.sampled_from([None, True, 10 ** 400, math.nan, -math.inf, 1e308, "adam"])
+    | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+_TRIALS_KEYS = ["version", "metric", "results"]
+_ROW_KEYS = ["cell", "architecture", "optimizer", "seed", "metric", "epochs_run",
+             "stop_reason"]
+_DELETE = object()
+
+
+def _set(mapping, key, value):
+    if value is _DELETE:
+        mapping.pop(key, None)
+    else:
+        mapping[key] = value
+
+
+def _mutated_trials(top, row_edits):
+    """``_VALID_TRIALS`` with ``top`` = [(key, value)] set on the payload and
+    ``row_edits`` = [(row index, key, value)] on its rows; ``_DELETE`` as the
+    value removes the key."""
+    payload = copy.deepcopy(_VALID_TRIALS)
+    for index, key, value in row_edits:
+        _set(payload["results"][index], key, value)
+    for key, value in top:
+        _set(payload, key, value)
+    return payload
+
+
+# Numbers often, so that some mutated files load and reach the report statistics.
+_VALUE = st.floats() | st.integers() | _JSON | st.just(_DELETE)
+_TRIALS_PAYLOAD = _JSON | st.builds(
+    _mutated_trials,
+    st.lists(st.tuples(st.sampled_from(_TRIALS_KEYS), _VALUE), max_size=1),
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from(_ROW_KEYS), _VALUE), max_size=3),
+)
+
+
+# Parsing and reporting only: no trial runs.
+@settings(max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_TRIALS_PAYLOAD)
+@example(_mutated_trials([], [(0, "metric", 1e308), (1, "metric", -1e308)]))
+@example(_mutated_trials([], [(0, "epochs_run", 10 ** 400)]))
+@example(_mutated_trials([], [(0, "metric", math.inf), (2, "metric", math.inf),
+                              (3, "metric", -math.inf)]))
+def test_report_on_fuzzed_trials_file_exits_with_a_documented_code(tmp_path, capsys, payload):
+    path = tmp_path / "trials.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", "--trials", str(path)]) in (
+        EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED)
+    capsys.readouterr()
 
 
 def test_curves_merges_per_trial_logs(tmp_path, capsys):
@@ -179,6 +293,11 @@ HUGE = 10 ** 400  # a 401-digit JSON integer, past the float range
     {"dataset": {"kind": "synth_regression", "noise_std": HUGE}},
     {"split": [HUGE, 0.2, 0.2]},
     {"train": {"early_stop_min_delta": HUGE}},
+    {"base_seed": -5},
+    {"dataset": {"kind": "synth_regression", "seed": -1}},
+    {"dataset": {"kind": "synth_classification", "seed": -1}},
+    {"dataset": {"kind": "synth_regression", "n": 10 ** 30}},
+    {"dataset": {"kind": "synth_classification", "m": 1, "classes": 2 ** 62}},
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, change):
     cfg = write_config(tmp_path, {**SMALL_CONFIG, **change})

@@ -241,8 +241,6 @@ def test_network_spec_validation():
         NetworkSpec(0, (4,), 1)
     with pytest.raises(ShapeError):
         NetworkSpec(4, (0,), 1)
-    with pytest.raises(ValueError, match="activation"):
-        NetworkSpec(4, (4,), 1, hidden_activation="tanh")
     with pytest.raises(ValueError, match="output head"):
         NetworkSpec(4, (4,), 1, output_head="sigmoid")
 
