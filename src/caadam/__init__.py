@@ -47,7 +47,6 @@ from .data import (
     Standardization,
     benchmark_regression,
     load_csv,
-    save_csv,
     split_standardize,
     synth_classification,
     synth_regression,

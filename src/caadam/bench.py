@@ -17,9 +17,13 @@ import csv
 import json
 import math
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -32,13 +36,13 @@ from .data import (
     synth_classification,
     synth_regression,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .linalg import make_rng
 from .nn import CLASSIFICATION, REGRESSION, NetworkSpec, init_network
 from .optim import OptimizerConfig, make_optimizer
 from .scaling import ScalingStrategy
 from .stats import significance_stars, welch_t_test
-from .train import STOP_DIVERGED, TrainConfig, export_log_csv, train, evaluate
+from .train import LOG_COLUMNS, STOP_DIVERGED, TrainConfig, export_log_csv, train, evaluate
 
 TRIALS_VERSION = 1
 
@@ -259,36 +263,40 @@ def _synth_ints(spec: dict, **defaults) -> dict:
 
 
 def load_dataset(spec: dict) -> Dataset:
-    """Build the experiment dataset from its config mapping."""
+    """Build the experiment dataset from its config mapping; every option is
+    checked before any data is generated or read."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind == "benchmark_regression":
-        out = benchmark_regression()
+        build, args = benchmark_regression, {}
     elif kind == "synth_regression":
-        out = synth_regression(
+        build, args = synth_regression, dict(
             **_synth_ints(spec, n=2000, m=8, seed=0),
             noise_std=_number(spec.pop("noise_std", 0.0), "noise_std"),
             scale=_number(spec.pop("scale", 1.0), "scale"),
         )
     elif kind == "synth_classification":
-        out = synth_classification(
+        build, args = synth_classification, dict(
             **_synth_ints(spec, n=2000, m=8, classes=3, seed=0),
             spread=_number(spec.pop("spread", 1.0), "spread"),
         )
     elif kind == "csv":
         try:
-            path = spec.pop("path")
-            target = spec.pop("target")
+            args = {key: _checked(spec.pop(key), _STR, key) for key in ("path", "target")}
         except KeyError as exc:
             raise ConfigError(f"csv dataset needs a {exc.args[0]!r} option") from exc
-        out = load_csv(path, target=target, task=spec.pop("task", REGRESSION))
+        args["task"] = _checked(spec.pop("task", REGRESSION), _STR, "task")
+        if args["task"] not in (REGRESSION, CLASSIFICATION):
+            raise ConfigError(f"csv task must be {REGRESSION!r} or {CLASSIFICATION!r}, "
+                              f"got {args['task']!r}")
+        build = load_csv
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     if spec:
         raise ConfigError(
             f"unknown dataset option(s) for kind {kind!r}: {sorted(spec)}"
         )
-    return out
+    return build(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +373,67 @@ def _trial_log_path(log_dir, hidden_sizes, entry_label: str, seed: int):
     return os.path.join(log_dir, cell_dir, f"trial_{seed}.csv")
 
 
-_WORKER_STATE: dict = {}
+# The inverse of ``_trial_log_path`` relative to the log directory.  An arch
+# label holds only digits and ``x``, so the cell directory splits at its
+# first ``__`` and the optimizer label keeps any later one.
+_TRIAL_LOG = re.compile(r"([0-9x]+)__(.+)/trial_([0-9]+)\.csv")
+
+CURVE_COLUMNS = ("cell", "seed", *LOG_COLUMNS)
 
 
-def _worker_init(dataset, train_cfg, split, log_dir):
-    _WORKER_STATE.update(dataset=dataset, train_cfg=train_cfg,
-                         split=split, log_dir=log_dir)
+def read_trial_logs(log_dir) -> list[list]:
+    """Every epoch row of the loss-curve CSVs that ``run_experiment`` writes
+    under ``log_dir``, as ``CURVE_COLUMNS`` values sorted by cell, seed and
+    epoch.  A CSV off that layout, a malformed row, or no CSV is a DataError."""
+    rows = []
+    for dirpath, _, filenames in os.walk(log_dir):
+        for path in (os.path.join(dirpath, n) for n in filenames if n.endswith(".csv")):
+            match = _TRIAL_LOG.fullmatch(os.path.relpath(path, log_dir).replace(os.sep, "/"))
+            if match is None:
+                raise DataError(f"{path} is not a <arch>__<label>/trial_<seed>.csv log")
+            arch, label, seed = match.groups()
+            rows += [[f"{arch}|{label}", seed, *row] for row in _log_rows(path)]
+    if not rows:
+        raise DataError(f"no loss-curve CSVs found under {log_dir}")
+    return sorted(rows, key=lambda r: r[:3])
 
 
-def _worker_run(task):
+def _log_rows(path) -> list[list]:
+    """The rows of one loss-curve CSV as (int, float, float, float) values."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if header != list(LOG_COLUMNS):
+        raise DataError(f"{path}: expected columns {list(LOG_COLUMNS)}, got {header}")
+    try:
+        return [[int(epoch), float(train), float(val), float(lr)]
+                for epoch, train, val, lr in rows]
+    except ValueError as exc:
+        raise DataError(f"{path}: a row is not an integer epoch and three numbers "
+                        f"({exc})") from None
+
+
+# A pool worker's (dataset, train config, split, log dir), shared by its trials.
+_WORKER_ARGS: list = []
+
+
+def _worker_init(*args):
+    _WORKER_ARGS[:] = args
+
+
+def _worker_run(task, args=_WORKER_ARGS):
+    dataset, train_cfg, split, log_dir = args
     hidden_sizes, entry, trial_seed = task
-    return run_trial(
-        _WORKER_STATE["dataset"], hidden_sizes, entry,
-        _WORKER_STATE["train_cfg"], _WORKER_STATE["split"], trial_seed,
-        log_path=_trial_log_path(_WORKER_STATE["log_dir"], hidden_sizes,
-                                 entry.label, trial_seed),
-    )
+    return run_trial(dataset, hidden_sizes, entry, train_cfg, split, trial_seed,
+                     log_path=_trial_log_path(log_dir, hidden_sizes, entry.label, trial_seed))
+
+
+# The row order of run_experiment's results and of every trial file.
+_TRIAL_ORDER = attrgetter("cell", "seed")
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
@@ -400,25 +453,20 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
         for entry in cfg.optimizers
         for k in range(cfg.trials)
     ]
+    initargs = (dataset, cfg.train, cfg.split, log_dir)
     results: list[TrialResult] = []
-    if workers <= 1:
-        for hidden, entry, seed in tasks:
-            res = run_trial(dataset, hidden, entry, cfg.train, cfg.split, seed,
-                            log_path=_trial_log_path(log_dir, hidden, entry.label, seed))
+    with ExitStack() as stack:
+        if workers <= 1:
+            mapped = map(partial(_worker_run, args=initargs), tasks)
+        else:
+            mapped = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_worker_init, initargs=initargs,
+            )).map(_worker_run, tasks)
+        for res in mapped:
             results.append(res)
             if progress is not None:
                 progress(res)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init,
-            initargs=(dataset, cfg.train, cfg.split, log_dir),
-        ) as pool:
-            for res in pool.map(_worker_run, tasks):
-                results.append(res)
-                if progress is not None:
-                    progress(res)
-    results.sort(key=lambda r: (r.cell, r.seed))
-    return results
+    return sorted(results, key=_TRIAL_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -554,45 +602,42 @@ def format_report_table(report: ComparisonReport) -> str:
 # persistence
 
 
-def _nan_to_none(value):
-    return None if isinstance(value, float) and math.isnan(value) else value
+def finite_or_none(value):
+    """``value``, or None in its place when it is a non-finite float: the one
+    rule by which NaN and ±inf reach a JSON file as null and a CSV as ''."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _row(record, columns) -> dict:
+    return {key: finite_or_none(getattr(record, key)) for key in columns}
+
+
+# The columns of a trials.json and a timings.json row, with the JSON kinds a
+# loader accepts; a float column reads null back as NaN.
+_FLOAT = _NUMBER + (type(None),)
+_TRIAL_ROW = {"cell": _STR, "architecture": _STR, "optimizer": _STR, "seed": _INT,
+              "metric": _FLOAT, "epochs_run": _INT, "stop_reason": _STR}
+_TIMING_ROW = {"cell": _STR, "seed": _INT, "wall_time_s": _FLOAT}
 
 
 def save_trials(trials: list[TrialResult], path) -> None:
     """Deterministic trial record: no wall-clock fields, stable ordering."""
-    rows = [
-        {
-            "cell": t.cell,
-            "architecture": t.architecture,
-            "optimizer": t.optimizer,
-            "seed": t.seed,
-            "metric": _nan_to_none(t.metric),
-            "epochs_run": t.epochs_run,
-            "stop_reason": t.stop_reason,
-        }
-        for t in sorted(trials, key=lambda t: (t.cell, t.seed))
-    ]
-    payload = {
+    write_json(path, {
         "version": TRIALS_VERSION,
         "metric": trials[0].metric_name if trials else METRIC_RMSE,
-        "results": rows,
-    }
-    write_json(path, payload)
+        "results": [_row(t, _TRIAL_ROW) for t in sorted(trials, key=_TRIAL_ORDER)],
+    })
 
 
 def save_timings(trials: list[TrialResult], path) -> None:
     """Wall-clock sidecar, same row order as the trial record."""
-    rows = [
-        {"cell": t.cell, "seed": t.seed, "wall_time_s": t.wall_time_s}
-        for t in sorted(trials, key=lambda t: (t.cell, t.seed))
-    ]
-    write_json(path, {"results": rows})
+    write_json(path, {"results": [_row(t, _TIMING_ROW) for t in sorted(trials, key=_TRIAL_ORDER)]})
 
 
 def write_json(path, payload) -> None:
-    """``payload`` as indented, key-sorted JSON with a final newline."""
+    """``payload`` as indented, key-sorted JSON with a final newline; NaN or ±inf is an error."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -608,22 +653,21 @@ def read_json(path, what: str):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-_TRIAL_ROW = {"cell": _STR, "architecture": _STR, "optimizer": _STR, "seed": _INT,
-              "metric": _NUMBER + (type(None),), "epochs_run": _INT, "stop_reason": _STR}
-_TIMING_ROW = {"cell": _STR, "seed": _INT, "wall_time_s": _NUMBER}
-
-
 def _result_rows(payload, path, columns: dict) -> list[dict]:
-    """``payload["results"]``, each row checked to hold ``columns`` of their kinds."""
+    """``payload["results"]``, each row checked to hold ``columns`` of their
+    kinds and cut to them, with every float column as a float."""
     rows = _checked(_checked(payload, (dict,), f"{path}: top level").get("results"),
                     _LIST, f"{path}: results")
+    out = []
     for row in rows:
         missing = columns.keys() - _checked(row, (dict,), f"{path}: result row").keys()
         if missing:
             raise ConfigError(f"{path}: result row lacks {sorted(missing)}")
         for key, kinds in columns.items():
             _checked(row[key], kinds, f"{path}: {key}")
-    return rows
+        out.append({key: (math.nan if row[key] is None else _number(row[key], key))
+                    if kinds is _FLOAT else row[key] for key, kinds in columns.items()})
+    return out
 
 
 def load_trials(path, timings_path=None) -> list[TrialResult]:
@@ -635,33 +679,22 @@ def load_trials(path, timings_path=None) -> list[TrialResult]:
         raise ConfigError(f"{path}: unsupported trials version {payload.get('version')!r}")
     if not rows:
         raise ConfigError(f"{path} holds no trials")
-    timings: dict[tuple[str, int], float] = {}
+    timings = {}
     if timings_path is not None and os.path.exists(timings_path):
-        for row in _result_rows(read_json(timings_path, "timings file"), timings_path,
-                                _TIMING_ROW):
-            timings[(row["cell"], row["seed"])] = _number(row["wall_time_s"], "wall_time_s")
+        timings = {(row["cell"], row["seed"]): row["wall_time_s"] for row in _result_rows(
+            read_json(timings_path, "timings file"), timings_path, _TIMING_ROW)}
     metric_name = _checked(payload.get("metric", METRIC_RMSE), _STR, f"{path}: metric")
-    trials = [TrialResult(
-        cell=row["cell"],
-        architecture=row["architecture"],
-        optimizer=row["optimizer"],
-        seed=row["seed"],
-        metric=math.nan if row["metric"] is None else _number(row["metric"], "metric"),
-        metric_name=metric_name,
-        epochs_run=row["epochs_run"],
-        wall_time_s=timings.get((row["cell"], row["seed"]), math.nan),
-        stop_reason=row["stop_reason"],
-    ) for row in rows]
-    return sorted(trials, key=lambda t: (t.cell, t.seed))
+    return sorted((TrialResult(**row, metric_name=metric_name,
+                               wall_time_s=timings.get((row["cell"], row["seed"]), math.nan))
+                   for row in rows), key=_TRIAL_ORDER)
 
 
 _REPORT_COLUMNS = [f.name for f in fields(CellStats)][1:]
 
 
 def save_report(report: ComparisonReport, json_path=None, csv_path=None) -> None:
-    """Write the report as JSON and/or CSV; NaN becomes null or an empty field."""
-    rows = [{col: _nan_to_none(getattr(c, col)) for col in _REPORT_COLUMNS}
-            for c in report.cells]
+    """Write the report as JSON and/or CSV; a non-finite value becomes null or ''."""
+    rows = [_row(c, _REPORT_COLUMNS) for c in report.cells]
     if json_path is not None:
         payload = {
             "method": report.method,

@@ -37,9 +37,9 @@ def _cmd_train(args) -> int:
     res = bench.run_trial(bench.load_dataset(cfg.dataset), cfg.architectures[0],
                           cfg.optimizers[0], cfg.train, cfg.split, cfg.base_seed,
                           log_path=os.path.join(args.out, "log.csv"))
-    metrics = {f.name: getattr(res, f.name) for f in fields(res) if f.name not in ("cell", "seed")}
     bench.write_json(os.path.join(args.out, "metrics.json"), {
-        k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in metrics.items()})
+        f.name: bench.finite_or_none(getattr(res, f.name))
+        for f in fields(res) if f.name not in ("cell", "seed")})
     metric = "n/a" if math.isnan(res.metric) else f"{res.metric:.6f}"
     print(f"{res.optimizer} on {res.architecture}: {res.metric_name}={metric} "
           f"after {res.epochs_run} epochs ({res.stop_reason}); outputs in {args.out}")
@@ -98,32 +98,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    rows = []
-    for dirpath, _, filenames in os.walk(args.logs):
-        for name in sorted(filenames):
-            if not name.endswith(".csv"):
-                continue
-            cell = os.path.relpath(dirpath, args.logs).replace("__", "|")
-            seed = ""
-            stem = name[:-4]
-            if stem.startswith("trial_"):
-                seed = stem[len("trial_"):]
-            with open(os.path.join(dirpath, name), newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                expected = ["epoch", "train_loss", "val_loss", "lr"]
-                if reader.fieldnames != expected:
-                    raise DataError(
-                        f"{os.path.join(dirpath, name)}: expected columns {expected}, "
-                        f"got {reader.fieldnames}")
-                for rec in reader:
-                    rows.append([cell, seed, rec["epoch"], rec["train_loss"],
-                                 rec["val_loss"], rec["lr"]])
-    if not rows:
-        raise DataError(f"no loss-curve CSVs found under {args.logs}")
-    rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
+    rows = bench.read_trial_logs(args.logs)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["cell", "seed", "epoch", "train_loss", "val_loss", "lr"])
+        writer.writerow(bench.CURVE_COLUMNS)
         writer.writerows(rows)
     print(f"merged {len(rows)} epoch rows into {args.out}")
     return EXIT_OK

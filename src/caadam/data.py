@@ -147,16 +147,6 @@ def load_csv(path, target: str, task: str = REGRESSION_TASK) -> Dataset:
     )
 
 
-def save_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back to CSV; floats use shortest round-trip form."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*ds.feature_names, ds.target_name])
-        flat_targets = np.asarray(ds.targets).reshape(ds.n_samples, -1)
-        for x_row, y_row in zip(ds.features, flat_targets):
-            writer.writerow([repr(float(v)) for v in x_row] + [repr(float(v)) for v in y_row])
-
-
 def _subset(ds: Dataset, idx: np.ndarray) -> Dataset:
     return Dataset(
         features=ds.features[idx],

@@ -17,17 +17,13 @@ from .errors import ShapeError
 Matrix = np.ndarray
 
 
-def as_matrix(values, rows: int | None = None, cols: int | None = None) -> Matrix:
-    """Coerce ``values`` to a 2-D float64 array, optionally checking its shape."""
+def as_matrix(values) -> Matrix:
+    """Coerce ``values`` to a 2-D float64 array; a vector becomes one row."""
     a = np.asarray(values, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got {a.ndim}-D data")
-    if rows is not None and a.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {a.shape[0]}")
-    if cols is not None and a.shape[1] != cols:
-        raise ShapeError(f"expected {cols} cols, got {a.shape[1]}")
     return a
 
 

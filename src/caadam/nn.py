@@ -61,6 +61,19 @@ def split_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
     return out
 
 
+def check_shapes(got: tuple, want: tuple, what: str) -> None:
+    """Raise a ShapeError naming the first tensor whose shape in ``got`` is not
+    the one in ``want``; both list per-tensor shapes in order W0, b0, W1, ..."""
+    if got == want:
+        return
+    if len(got) != len(want):
+        raise ShapeError(f"{what} does not match the network parameter count: "
+                         f"{len(got)} tensors for {len(want)}")
+    i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+    raise ShapeError(f"{what}: parameter {i} ({'Wb'[i % 2]}{i // 2}) has shape {got[i]}, "
+                     f"not {want[i]}")
+
+
 def _pairs(tensors: list[np.ndarray]) -> list[tuple[Matrix, np.ndarray]]:
     return list(zip(tensors[::2], tensors[1::2]))
 
@@ -82,7 +95,8 @@ class Network:
     """Layer layout plus parameters.  ``flat`` owns every parameter;
     ``layers`` holds (weights (fan_in, fan_out), bias (fan_out,)) views into
     it, and ``shapes`` the per-tensor shapes in order W0, b0, W1, ...
-    Constructing a Network copies the given arrays into a new ``flat``."""
+    Constructing a Network copies the given arrays into a new ``flat``;
+    arrays that do not match ``spec.layer_dims`` are a ShapeError."""
 
     spec: NetworkSpec
     layers: list[tuple[Matrix, np.ndarray]]
@@ -91,6 +105,8 @@ class Network:
 
     def __post_init__(self):
         self.flat, self.shapes, self.layers = _pack(self.layers)
+        check_shapes(self.shapes, tuple(shape for dims in self.spec.layer_dims
+                                        for shape in (dims, dims[1:])), "layer list")
 
     def copy_weights(self) -> list[tuple[Matrix, np.ndarray]]:
         return [(w.copy(), b.copy()) for w, b in self.layers]
@@ -98,8 +114,7 @@ class Network:
     def set_weights(self, snapshot: list[tuple[Matrix, np.ndarray]]) -> None:
         """Copy ``snapshot`` into ``flat``; ``layers`` keep viewing it."""
         flat, shapes, _ = _pack(snapshot)
-        if shapes != self.shapes:
-            raise ShapeError("snapshot does not match the network's parameter shapes")
+        check_shapes(shapes, self.shapes, "snapshot")
         self.flat[...] = flat
 
 

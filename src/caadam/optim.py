@@ -32,13 +32,13 @@ is recorded as such.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .arch import ArchitectureSummary, summarize
 from .errors import ConfigError, NonFiniteError, ShapeError
-from .nn import GradientSet, Network, split_views
+from .nn import GradientSet, Network, check_shapes, split_views
 from .scaling import ScaleTable, ScalingStrategy, compute_scale_table
 
 CHECKPOINT_VERSION = 1
@@ -90,11 +90,7 @@ class Optimizer:
             lr = self.config.learning_rate
         if lr <= 0.0:
             raise ConfigError(f"lr must be > 0, got {lr}")
-        if grads.shapes != net.shapes:
-            if len(grads.shapes) != len(net.shapes):
-                raise ShapeError("gradient set does not match network parameter count")
-            i = next(i for i, (p, g) in enumerate(zip(net.shapes, grads.shapes)) if p != g)
-            raise ShapeError(f"parameter {i}: gradient shape {grads.shapes[i]} != {net.shapes[i]}")
+        check_shapes(grads.shapes, net.shapes, "gradient set")
         if self._shapes is None:
             self._shapes = net.shapes
             self._state = {name: np.zeros_like(net.flat) for name in self.slot_names}
@@ -133,24 +129,11 @@ class Optimizer:
 
     def to_checkpoint(self) -> dict:
         """JSON-safe snapshot: version, algorithm, config, step, accumulators."""
-        cfg = {
-            "learning_rate": self.config.learning_rate,
-            "beta1": self.config.beta1,
-            "beta2": self.config.beta2,
-            "eps": self.config.eps,
-            "decay": self.config.decay,
-            "weight_decay": self.config.weight_decay,
-        }
-        if self.config.scaling is not None:
-            cfg["scaling"] = {
-                "kind": self.config.scaling.kind,
-                "gamma": self.config.scaling.gamma,
-                "multiplicative_sigma": self.config.scaling.multiplicative_sigma,
-            }
         return {
             "version": CHECKPOINT_VERSION,
             "algorithm": self.algorithm,
-            "config": cfg,
+            "config": {key: value for key, value in asdict(self.config).items()
+                       if key != "algorithm" and value is not None},  # None: no scaling
             "t": self.t,
             "slots": [
                 {name: arr.tolist() for name, arr in slot.items()} for slot in self._slots

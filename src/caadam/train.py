@@ -120,13 +120,17 @@ class TrainLog:
     best_weights: list | None = None
 
 
+# The columns of a loss-curve CSV: the deterministic EpochRecord fields.
+LOG_COLUMNS = ("epoch", "train_loss", "val_loss", "lr")
+
+
 def export_log_csv(log: TrainLog, path) -> None:
-    """Write the deterministic part of a TrainLog (epoch, losses, lr) as CSV."""
+    """Write the deterministic part of a TrainLog as CSV, one ``LOG_COLUMNS``
+    row per epoch, each value in its shortest round-trip form."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
-        for r in log.records:
-            writer.writerow([r.epoch, repr(r.train_loss), repr(r.val_loss), repr(r.lr)])
+        writer.writerow(LOG_COLUMNS)
+        writer.writerows([repr(getattr(r, col)) for col in LOG_COLUMNS] for r in log.records)
 
 
 def _mean_loss(net: Network, ds: Dataset) -> float:

@@ -5,7 +5,7 @@ import pytest
 from caadam.arch import median_of, summarize
 from caadam.errors import StructureError
 from caadam.linalg import make_rng
-from caadam.nn import Network, NetworkSpec, init_network
+from caadam.nn import NetworkSpec, init_network
 
 
 def test_summarize_counts_weight_edges_not_biases():
@@ -40,7 +40,9 @@ def test_summarize_single_layer():
 
 
 def test_summarize_rejects_empty_network():
-    empty = Network(spec=NetworkSpec(1, (), 1), layers=[])
+    # a Network cannot be built without the layers its spec names
+    empty = init_network(NetworkSpec(1, (), 1), make_rng(0))
+    empty.layers = []
     with pytest.raises(StructureError, match="no trainable layers"):
         summarize(empty)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,12 +267,16 @@ def test_save_load_trials_roundtrip_with_nan(tmp_path):
 
 
 def test_load_trials_reads_timings_sidecar(tmp_path):
-    trials = [mk("adam", 0, 1.0), mk("adam", 1, 1.1)]
+    trials = [mk("adam", 0, 1.0), mk("adam", 1, 1.1),
+              replace(mk("adam", 2, 1.2), wall_time_s=math.nan)]
     save_trials(trials, tmp_path / "trials.json")
     save_timings(trials, tmp_path / "timings.json")
+    rows = json.loads((tmp_path / "timings.json").read_text())["results"]
+    assert rows[2]["wall_time_s"] is None  # null, not the non-JSON token NaN
     back = load_trials(tmp_path / "trials.json",
                        timings_path=tmp_path / "timings.json")
-    assert [t.wall_time_s for t in back] == [1.0, 1.1]
+    assert [t.wall_time_s for t in back[:2]] == [1.0, 1.1]
+    assert math.isnan(back[2].wall_time_s)
 
 
 def test_load_trials_version_check(tmp_path):

@@ -270,6 +270,46 @@ def test_curves_merges_per_trial_logs(tmp_path, capsys):
     assert "merged 12 epoch rows" in capsys.readouterr().out
 
 
+def test_curves_names_cells_as_trials_json_does(tmp_path):
+    # a label may hold "__", the separator of the log directory names
+    payload = {**SMALL_CONFIG, "optimizers": [{"algorithm": "adam"},
+                                              {"algorithm": "adam", "label": "my__adam"}]}
+    run = tmp_path / "run"
+    assert main(["benchmark", "--config", write_config(tmp_path, payload),
+                 "--out", str(run), "--quiet"]) == EXIT_OK
+    merged = tmp_path / "curves.csv"
+    assert main(["curves", "--logs", str(run / "logs"), "--out", str(merged)]) == EXIT_OK
+    cells = {line.split(",")[0] for line in merged.read_text().splitlines()[1:]}
+    trials = json.loads((run / "trials.json").read_text())["results"]
+    assert cells == {row["cell"] for row in trials} == {"4|adam", "4|my__adam"}
+
+
+def test_curves_on_malformed_row_is_data_error(tmp_path, capsys):
+    cell = tmp_path / "logs" / "4__adam"
+    cell.mkdir(parents=True)
+    (cell / "trial_1.csv").write_text("epoch,train_loss,val_loss,lr\nx,1.0,1.0,0.001\n")
+    code = main(["curves", "--logs", str(tmp_path / "logs"), "--out", str(tmp_path / "m.csv")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_report_on_constant_unequal_cells_writes_valid_json(tmp_path):
+    # zero spread in both cells makes Welch's t infinite; the file holds null
+    payload = copy.deepcopy(_VALID_TRIALS)
+    for row in payload["results"]:
+        row["metric"] = 1.0 if row["optimizer"] == "adam" else 0.9
+    path = tmp_path / "trials.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", "--trials", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    cells = json.loads((tmp_path / "report.json").read_text(),
+                       parse_constant=_no_constant)["cells"]
+    assert [c["metric_t"] for c in cells if c["optimizer"] == "sgd"] == [None]
+
+
 HUGE = 10 ** 400  # a 401-digit JSON integer, past the float range
 
 
@@ -298,6 +338,12 @@ HUGE = 10 ** 400  # a 401-digit JSON integer, past the float range
     {"dataset": {"kind": "synth_classification", "seed": -1}},
     {"dataset": {"kind": "synth_regression", "n": 10 ** 30}},
     {"dataset": {"kind": "synth_classification", "m": 1, "classes": 2 ** 62}},
+    # csv options are checked before the file is opened, so none of these reads it
+    {"dataset": {"kind": "csv", "path": "absent.csv", "target": "y", "task": "Classification"}},
+    {"dataset": {"kind": "csv", "path": "absent.csv", "target": "y", "task": 1}},
+    {"dataset": {"kind": "csv", "path": 0, "target": "y"}},
+    {"dataset": {"kind": "csv", "path": "absent.csv", "target": ["y"]}},
+    {"dataset": {"kind": "csv", "path": "absent.csv", "target": "y", "sep": ";"}},
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, change):
     cfg = write_config(tmp_path, {**SMALL_CONFIG, **change})

@@ -1,5 +1,6 @@
 """CSV ingestion, splits, standardization, and the synthetic generators."""
 
+import csv
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from caadam.data import (
     Dataset,
     benchmark_regression,
     load_csv,
-    save_csv,
     split_standardize,
     synth_classification,
     synth_regression,
@@ -120,10 +120,19 @@ def test_benchmark_regression_is_frozen():
 # CSV round trips and parse errors
 
 
+def write_csv(ds, path):
+    """``ds`` as a CSV with a header row; floats use shortest round-trip form."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*ds.feature_names, ds.target_name])
+        for x_row, y_row in zip(ds.features, np.asarray(ds.targets).reshape(ds.n_samples, -1)):
+            writer.writerow([repr(float(v)) for v in (*x_row, *y_row)])
+
+
 def test_csv_roundtrip_regression(tmp_path):
     ds = synth_regression(n=25, m=3, noise_std=0.3, seed=5)
     path = tmp_path / "ds.csv"
-    save_csv(ds, path)
+    write_csv(ds, path)
     back = load_csv(path, target="y")
     assert_array_equal(back.features, ds.features)  # repr() round-trips floats
     assert_array_equal(back.targets, ds.targets)
@@ -133,7 +142,7 @@ def test_csv_roundtrip_regression(tmp_path):
 def test_csv_roundtrip_classification(tmp_path):
     ds = synth_classification(n=20, m=2, classes=3, seed=1)
     path = tmp_path / "ds.csv"
-    save_csv(ds, path)
+    write_csv(ds, path)
     back = load_csv(path, target="label", task="classification")
     assert_array_equal(back.features, ds.features)
     assert_array_equal(back.targets, ds.targets)

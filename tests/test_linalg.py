@@ -56,13 +56,6 @@ def test_as_matrix_rejects_higher_rank():
         as_matrix(np.zeros((2, 2, 2)))
 
 
-def test_as_matrix_checks_requested_shape():
-    with pytest.raises(ShapeError, match="expected 3 rows"):
-        as_matrix(np.zeros((2, 2)), rows=3)
-    with pytest.raises(ShapeError, match="expected 5 cols"):
-        as_matrix(np.zeros((2, 2)), cols=5)
-
-
 # ---------------------------------------------------------------------------
 # glorot initialization
 

@@ -226,6 +226,17 @@ def test_backward_rejects_wrong_target_shape():
 # construction and bookkeeping
 
 
+def test_network_rejects_layers_that_do_not_match_its_spec():
+    (w0, b0), (w1, b1) = hand_net().layers
+    spec = NetworkSpec(2, (2,), 1)
+    with pytest.raises(ShapeError, match=r"parameter 2 \(W1\) has shape \(1, 1\), not \(2, 1\)"):
+        Network(spec=spec, layers=[(w0, b0), (w1[:1], b1)])
+    with pytest.raises(ShapeError, match=r"parameter 1 \(b0\)"):
+        Network(spec=spec, layers=[(w0, b0[:1]), (w1, b1)])
+    with pytest.raises(ShapeError, match="2 tensors for 4"):
+        Network(spec=spec, layers=[(w0, b0)])
+
+
 def test_init_network_glorot_weights_zero_biases():
     spec = NetworkSpec(4, (8, 3), 2)
     net = init_network(spec, make_rng(9))
