@@ -68,6 +68,7 @@ from .nn import (
     GradientSet,
     Network,
     NetworkSpec,
+    Workspace,
     backward,
     forward,
     init_network,

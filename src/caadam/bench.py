@@ -20,7 +20,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
@@ -58,8 +58,11 @@ class OptimizerEntry:
     config: OptimizerConfig
 
     def __post_init__(self):
-        if not self.label or "|" in self.label:
-            raise ConfigError(f"bad optimizer label {self.label!r}")
+        # "|" joins a cell name; a path separator or NUL would move its log file.
+        banned = ("|", "/", "\0", os.sep, os.altsep)
+        if not self.label or any(c and c in self.label for c in banned):
+            raise ConfigError(f"bad optimizer label {self.label!r}: it must be non-empty and "
+                              "hold no '|', path separator or NUL")
 
 
 def default_label(config: OptimizerConfig) -> str:
@@ -349,8 +352,9 @@ def run_trial(dataset: Dataset, hidden_sizes, entry: OptimizerEntry,
         metric = evaluate(net, split_ds.test)
 
     if log_path is not None:
-        os.makedirs(os.path.dirname(log_path), exist_ok=True)
-        export_log_csv(log, log_path)
+        with writing(log_path):
+            os.makedirs(os.path.dirname(log_path), exist_ok=True)
+            export_log_csv(log, log_path)
 
     return TrialResult(
         cell=f"{arch_label(hidden_sizes)}|{entry.label}",
@@ -632,6 +636,15 @@ def save_trials(trials: list[TrialResult], path) -> None:
 def save_timings(trials: list[TrialResult], path) -> None:
     """Wall-clock sidecar, same row order as the trial record."""
     write_json(path, {"results": [_row(t, _TIMING_ROW) for t in sorted(trials, key=_TRIAL_ORDER)]})
+
+
+@contextmanager
+def writing(path):
+    """An OSError while creating or writing the output ``path`` is a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def write_json(path, payload) -> None:

@@ -10,7 +10,8 @@ Subcommands:
 * ``report``     — rebuild a comparison report from an existing trials.json.
 * ``curves``     — merge per-trial loss-curve CSVs into one long-format CSV.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 every trial diverged.
+Exit codes: 0 success, 1 config error (an unwritable output path included),
+2 data error, 3 every trial diverged.
 """
 
 from __future__ import annotations
@@ -32,14 +33,22 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
 
+def _out_dir(path) -> str:
+    with bench.writing(path):
+        os.makedirs(path, exist_ok=True)
+    return path
+
+
 def _cmd_train(args) -> int:
     cfg = bench.experiment_from_dict(bench.read_json(args.config, "config"))
+    _out_dir(args.out)
     res = bench.run_trial(bench.load_dataset(cfg.dataset), cfg.architectures[0],
                           cfg.optimizers[0], cfg.train, cfg.split, cfg.base_seed,
                           log_path=os.path.join(args.out, "log.csv"))
-    bench.write_json(os.path.join(args.out, "metrics.json"), {
-        f.name: bench.finite_or_none(getattr(res, f.name))
-        for f in fields(res) if f.name not in ("cell", "seed")})
+    with bench.writing(args.out):
+        bench.write_json(os.path.join(args.out, "metrics.json"), {
+            f.name: bench.finite_or_none(getattr(res, f.name))
+            for f in fields(res) if f.name not in ("cell", "seed")})
     metric = "n/a" if math.isnan(res.metric) else f"{res.metric:.6f}"
     print(f"{res.optimizer} on {res.architecture}: {res.metric_name}={metric} "
           f"after {res.epochs_run} epochs ({res.stop_reason}); outputs in {args.out}")
@@ -54,9 +63,9 @@ def _report(trials, baseline: str, out_dir) -> int:
         return EXIT_DIVERGED
     report = bench.build_report(trials, baseline=baseline)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        bench.save_report(report, os.path.join(out_dir, "report.json"),
-                          os.path.join(out_dir, "report.csv"))
+        with bench.writing(_out_dir(out_dir)):
+            bench.save_report(report, os.path.join(out_dir, "report.json"),
+                              os.path.join(out_dir, "report.csv"))
     print(bench.format_report_table(report))
     return EXIT_OK
 
@@ -69,8 +78,7 @@ def _cmd_benchmark(args) -> int:
     if args.baseline not in labels:
         raise ConfigError(f"baseline {args.baseline!r} is not an optimizer label "
                           f"of the config {labels}")
-    os.makedirs(args.out, exist_ok=True)
-    log_dir = os.path.join(args.out, "logs")
+    log_dir = _out_dir(os.path.join(_out_dir(args.out), "logs"))
 
     done = {"n": 0}
     total = len(cfg.architectures) * len(cfg.optimizers) * cfg.trials
@@ -83,8 +91,9 @@ def _cmd_benchmark(args) -> int:
 
     trials = bench.run_experiment(cfg, workers=args.parallel, log_dir=log_dir,
                                   progress=progress)
-    bench.save_trials(trials, os.path.join(args.out, "trials.json"))
-    bench.save_timings(trials, os.path.join(args.out, "timings.json"))
+    with bench.writing(args.out):
+        bench.save_trials(trials, os.path.join(args.out, "trials.json"))
+        bench.save_timings(trials, os.path.join(args.out, "timings.json"))
     print()
     code = _report(trials, args.baseline, args.out)
     if code == EXIT_OK:
@@ -99,7 +108,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_curves(args) -> int:
     rows = bench.read_trial_logs(args.logs)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with bench.writing(args.out), open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(bench.CURVE_COLUMNS)
         writer.writerows(rows)

@@ -9,7 +9,8 @@ analytic gradients for every weight and bias.
 Parameters live in one contiguous float64 vector per network, laid out
 W0, b0, W1, b1, ... with each weight matrix row-major; the per-layer
 ``(W, b)`` pairs are views into it.  Gradients use the same layout, so an
-optimizer updates a whole network with one vector expression.
+optimizer updates a whole network with one vector expression.  ``forward`` and
+``backward`` write into a ``Workspace`` of reused buffers.
 """
 
 from __future__ import annotations
@@ -135,11 +136,33 @@ class GradientSet:
             self.flat, self.shapes, self.layers = _pack(self.layers)
 
 
+class Workspace:
+    """Reused buffers for ``forward`` and ``backward`` on one network layout:
+    one float64 block of per-layer pre-activation and hidden activation rows
+    (up to ``rows``), error rows ``dz`` (up to ``batch_rows``) and a gradient
+    vector laid out as ``Network.flat``.  A call on ``r`` rows uses the first
+    ``r`` rows of each view.  A cache or GradientSet from a call with a
+    workspace stays valid until the next call with that workspace."""
+
+    def __init__(self, net: Network, rows: int, batch_rows: int | None = None):
+        outs = [fan_out for _, fan_out in net.spec.layer_dims]
+        n = len(outs)
+        self.rows, self.batch_rows, self.shapes = rows, batch_rows or rows, net.shapes
+        shapes = ([(rows, k) for k in outs + outs[:-1]]
+                  + [(self.batch_rows, k) for k in outs] + [net.flat.shape])
+        self.block = np.empty(sum(math.prod(shape) for shape in shapes))
+        *views, self.grad = split_views(self.block, shapes)
+        self.pre, self.act, self.dz = views[:n], views[n : 2 * n - 1], views[2 * n - 1 :]
+        self.grad_layers = _pairs(split_views(self.grad, net.shapes))
+
+
 @dataclass
 class ForwardCache:
-    """Activation record from one forward pass, consumed by ``backward``."""
+    """Activation record from one forward pass, consumed by ``backward``;
+    its arrays are views into ``workspace``."""
 
     batch_rows: int
+    workspace: Workspace = field(repr=False)
     inputs: list[Matrix] = field(default_factory=list)  # input to each layer
     pre: list[Matrix] = field(default_factory=list)  # pre-activation of each layer
 
@@ -154,32 +177,41 @@ def init_network(spec: NetworkSpec, rng: np.random.Generator) -> Network:
     return Network(spec=spec, layers=layers)
 
 
-def forward(net: Network, batch: Matrix) -> tuple[Matrix, ForwardCache]:
-    """Run the network on ``batch`` (rows are samples), keeping the cache."""
+def forward(net: Network, batch: Matrix,
+            workspace: Workspace | None = None) -> tuple[Matrix, ForwardCache]:
+    """Run the network on ``batch`` (rows are samples), keeping the cache.
+    Both are views into ``workspace``, or into a new one sized to the batch."""
     x = as_matrix(batch)
     if x.shape[1] != net.spec.input_dim:
         raise ShapeError(
             f"batch has {x.shape[1]} features, network expects {net.spec.input_dim}"
         )
-    cache = ForwardCache(batch_rows=x.shape[0])
+    rows = x.shape[0]
+    ws = Workspace(net, rows) if workspace is None else workspace
+    if ws.shapes != net.shapes or rows > ws.rows:
+        raise ShapeError(f"workspace holds {ws.rows} rows of parameter shapes {ws.shapes}, "
+                         f"not {rows} rows of {net.shapes}")
+    cache = ForwardCache(batch_rows=rows, workspace=ws)
     h = x
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (w, b) in enumerate(net.layers):
             cache.inputs.append(h)
-            z = h @ w + b
+            z = np.matmul(h, w, out=ws.pre[i][:rows])
+            z += b
             cache.pre.append(z)
-            h = z if i == last else np.maximum(z, 0.0)
+            h = z if i == last else np.maximum(z, 0.0, out=ws.act[i][:rows])
     if not np.isfinite(h).all():
         raise NonFiniteError("forward pass produced non-finite activations")
     return h, cache
 
 
-def softmax(logits: Matrix) -> Matrix:
-    """Row-wise softmax, stabilized by max subtraction."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax(logits: Matrix, out: Matrix | None = None) -> Matrix:
+    """Row-wise softmax, stabilized by max subtraction; written into ``out``
+    when it is given."""
+    e = np.exp(np.subtract(logits, logits.max(axis=1, keepdims=True), out=out), out=out)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _class_indices(targets, n_rows: int, n_classes: int) -> np.ndarray:
@@ -225,8 +257,9 @@ def loss(prediction: Matrix, targets, head: str) -> float:
 def backward(net: Network, cache: ForwardCache, targets) -> GradientSet:
     """Exact gradients of the batch loss for every weight and bias.
 
-    ``cache`` must come from a ``forward`` call on this network; a stale or
-    foreign cache is rejected by shape checks.
+    ``cache`` must come from a ``forward`` call on this network; a foreign
+    cache is rejected by shape checks.  The gradients are written into the
+    cache's workspace and stay valid until its next call.
     """
     n_layers = len(net.layers)
     if len(cache.inputs) != n_layers or len(cache.pre) != n_layers:
@@ -235,29 +268,33 @@ def backward(net: Network, cache: ForwardCache, targets) -> GradientSet:
         if h.shape != (cache.batch_rows, w.shape[0]) or z.shape != (cache.batch_rows, w.shape[1]):
             raise ShapeError("cache shapes do not match network parameters")
 
+    ws = cache.workspace
     logits = cache.pre[-1]
     n, k = logits.shape
+    if n > ws.batch_rows:
+        raise ShapeError(f"workspace holds errors for {ws.batch_rows} rows, not {n}")
+    dz = ws.dz[-1][:n]
     if net.spec.output_head == REGRESSION:
         y = as_matrix(targets)
         if y.shape != logits.shape:
             raise ShapeError(f"prediction {logits.shape} vs targets {y.shape}")
-        dz = 2.0 * (logits - y) / logits.size
+        np.subtract(logits, y, out=dz)
+        dz *= 2.0
+        dz /= logits.size
     else:
         idx = _class_indices(targets, n, k)
-        dz = softmax(logits)
+        softmax(logits, out=dz)
         dz[np.arange(n), idx] -= 1.0
         dz /= n
 
-    flat = np.empty_like(net.flat)
-    grads = _pairs(split_views(flat, net.shapes))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_layers - 1, -1, -1):
-            dw, db = grads[i]
+            dw, db = ws.grad_layers[i]
             np.matmul(cache.inputs[i].T, dz, out=dw)
             dz.sum(axis=0, out=db)
             if i > 0:
-                dh = dz @ net.layers[i][0].T
-                dz = dh * (cache.pre[i - 1] > 0.0)
-    if not np.isfinite(flat).all():
+                dz = np.matmul(dz, net.layers[i][0].T, out=ws.dz[i - 1][:n])
+                dz *= cache.pre[i - 1] > 0.0
+    if not np.isfinite(ws.grad).all():
         raise NonFiniteError("backward pass produced non-finite gradients")
-    return GradientSet(layers=grads, flat=flat, shapes=net.shapes)
+    return GradientSet(layers=ws.grad_layers, flat=ws.grad, shapes=net.shapes)

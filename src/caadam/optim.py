@@ -327,8 +327,16 @@ def from_checkpoint(payload: dict) -> Optimizer:
 
 
 def save_checkpoint(opt: Optimizer, path) -> None:
+    """Write ``opt.to_checkpoint()`` as JSON.  A non-finite accumulator is a
+    NonFiniteError naming its slot and tensor, raised before ``path`` is opened."""
+    payload = opt.to_checkpoint()
+    for i, slot in enumerate(payload["slots"]):
+        for name, values in slot.items():
+            if not np.isfinite(values).all():
+                raise NonFiniteError(f"checkpoint slot {name!r} of tensor {i} is not finite")
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(opt.to_checkpoint(), fh, sort_keys=True)
+        fh.write(text)
 
 
 def load_checkpoint(path) -> Optimizer:

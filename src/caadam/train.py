@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset, SplitDataset
 from .errors import ConfigError, DataError, NonFiniteError
 from .linalg import make_rng
-from .nn import CLASSIFICATION, Network, backward, forward, loss
+from .nn import CLASSIFICATION, Network, Workspace, backward, forward, loss
 from .optim import Optimizer
 
 STOP_EARLY = "early_stop"
@@ -133,8 +133,8 @@ def export_log_csv(log: TrainLog, path) -> None:
         writer.writerows([repr(getattr(r, col)) for col in LOG_COLUMNS] for r in log.records)
 
 
-def _mean_loss(net: Network, ds: Dataset) -> float:
-    pred, _ = forward(net, ds.features)
+def _mean_loss(net: Network, ds: Dataset, workspace: Workspace) -> float:
+    pred, _ = forward(net, ds.features, workspace)
     return loss(pred, ds.targets, ds.task)
 
 
@@ -157,6 +157,8 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
                                  cfg.lr_reduce_patience, cfg.early_stop_min_delta,
                                  cfg.min_lr)
     rng = make_rng(cfg.seed)
+    # Shared by every call below: each result is used before the next call.
+    workspace = Workspace(net, max(n, data.validation.n_samples), min(cfg.batch_size, n))
     log = TrainLog()
     started = time.monotonic()
 
@@ -165,11 +167,11 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
             perm = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
-                pred, cache = forward(net, x_train[idx])
+                pred, cache = forward(net, x_train[idx], workspace)
                 grads = backward(net, cache, y_train[idx])
                 optimizer.step(net, grads, lr=scheduler.lr)
-            train_loss = _mean_loss(net, data.train)
-            val_loss = _mean_loss(net, data.validation)
+            train_loss = _mean_loss(net, data.train, workspace)
+            val_loss = _mean_loss(net, data.validation, workspace)
             if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 raise NonFiniteError(f"non-finite loss at epoch {epoch}")
         except NonFiniteError:

@@ -326,6 +326,9 @@ HUGE = 10 ** 400  # a 401-digit JSON integer, past the float range
     {"optimizers": [{"algorithm": "adam"}, {"algorithm": ["sgd"]}]},
     {"optimizers": [{"algorithm": "adam"}, {"algorithm": "caadam", "scaling": [1]}]},
     {"optimizers": [{"algorithm": "adam"}, {"algorithm": "sgd", "label": 5}]},
+    # a label names a log directory, so it may not leave <out>/logs
+    {"optimizers": [{"algorithm": "adam"}, {"algorithm": "sgd", "label": "x/../../escaped"}]},
+    {"optimizers": [{"algorithm": "adam"}, {"algorithm": "sgd", "label": "x\0y"}]},
     {"optimizers": [{"algorithm": "adam"}, 3]},
     {"optimizers": [{"algorithm": "adam", "beta1": HUGE}]},
     {"optimizers": [{"algorithm": "adam"},
@@ -350,6 +353,27 @@ def test_malformed_config_is_config_error(tmp_path, capsys, change):
     code = main(["benchmark", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["curves", "train", "benchmark", "benchmark-log"])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    (tmp_path / "run" / "logs").mkdir(parents=True)
+    (tmp_path / "run" / "logs" / "4__adam").write_text("")  # a file where a cell log dir goes
+    cell = tmp_path / "logs" / "4__adam"
+    cell.mkdir(parents=True)
+    (cell / "trial_1.csv").write_text("epoch,train_loss,val_loss,lr\n1,0.5,0.6,0.001\n")
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    argv = {
+        "curves": ["curves", "--logs", str(tmp_path / "logs"),
+                   "--out", str(tmp_path / "nodir" / "m.csv")],
+        "train": ["train", "--config", cfg, "--out", str(blocker)],
+        "benchmark": ["benchmark", "--config", cfg, "--out", str(blocker / "x")],
+        "benchmark-log": ["benchmark", "--config", cfg, "--out", str(tmp_path / "run")],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: cannot write output" in capsys.readouterr().err
 
 
 def test_optimizer_learning_rate_key_is_config_error(tmp_path, capsys):
@@ -501,3 +525,31 @@ def test_benchmark_trials_json_matches_golden_hash(tmp_path):
     assert main(["benchmark", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
     digest = hashlib.sha256((out / "trials.json").read_bytes()).hexdigest()
     assert digest == GOLDEN_TRIALS_SHA256
+
+
+# A softmax-head grid whose 160 training rows leave a remainder batch of 16
+# at batch size 24.  Test accuracies are coarse, so the hash also covers every
+# loss-curve CSV, whose losses move with any bit of the weights.
+GOLDEN_CLASSIFICATION_CONFIG = {
+    "dataset": {"kind": "synth_classification", "n": 250, "m": 5, "classes": 4, "seed": 7},
+    "architectures": [[8], [6, 5]],
+    "optimizers": [{"algorithm": "adam"}, {"algorithm": "caadam", "scaling": "multiplicative"},
+                   {"algorithm": "sgd"}],
+    "train": {"batch_size": 24, "max_epochs": 4},
+    "trials": 2,
+    "base_seed": 500,
+}
+GOLDEN_CLASSIFICATION_SHA256 = "9d592c9626934693875373ca699f441f9b7983fc27504321b60d0dd43991b195"
+
+
+def test_classification_trials_and_logs_match_golden_hash(tmp_path):
+    cfg = write_config(tmp_path, GOLDEN_CLASSIFICATION_CONFIG)
+    out = tmp_path / "run"
+    assert main(["benchmark", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+    digest = hashlib.sha256((out / "trials.json").read_bytes())
+    logs = sorted((out / "logs").rglob("*.csv"))
+    assert len(logs) == 12
+    for path in logs:
+        digest.update(path.relative_to(out).as_posix().encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_CLASSIFICATION_SHA256

@@ -14,6 +14,7 @@ from caadam.nn import (
     REGRESSION,
     Network,
     NetworkSpec,
+    Workspace,
     backward,
     forward,
     init_network,
@@ -224,6 +225,36 @@ def test_backward_rejects_wrong_target_shape():
 
 # ---------------------------------------------------------------------------
 # construction and bookkeeping
+
+
+@pytest.mark.parametrize("head", [REGRESSION, CLASSIFICATION])
+def test_workspace_calls_match_one_call_workspaces_and_reuse_the_buffers(head):
+    rng = make_rng(8)
+    classes = 3 if head == CLASSIFICATION else 1
+    net = init_network(NetworkSpec(4, (7, 5), classes, head), rng)
+    x = rng.normal(size=(23, 4))
+    y = rng.integers(0, classes, size=23) if head == CLASSIFICATION else rng.normal(size=(23, 1))
+    ws = Workspace(net, rows=23, batch_rows=10)
+    grads_ws = []
+    for rows in (slice(0, 10), slice(20, 23)):  # a full batch, then a remainder batch
+        pred, cache = forward(net, x[rows])
+        grads = backward(net, cache, y[rows])
+        pred_ws, cache_ws = forward(net, x[rows], ws)
+        grads_ws.append(backward(net, cache_ws, y[rows]))
+        assert_array_equal(pred_ws, pred)
+        assert_array_equal(grads_ws[-1].flat, grads.flat)
+        assert not np.shares_memory(grads.flat, ws.block)
+    assert all(np.shares_memory(g.flat, ws.block) for g in grads_ws)
+    assert grads_ws[0].flat is grads_ws[1].flat  # the second step overwrote the first
+    # evaluation may use every row, a backward pass only ``batch_rows``
+    pred, cache = forward(net, x, ws)
+    assert np.shares_memory(pred, ws.block)
+    with pytest.raises(ShapeError, match="errors for 10 rows"):
+        backward(net, cache, y)
+    with pytest.raises(ShapeError, match="workspace holds 23 rows"):
+        forward(net, np.zeros((24, 4)), ws)
+    with pytest.raises(ShapeError, match="workspace holds"):
+        forward(init_network(NetworkSpec(4, (6,), classes, head), rng), x, ws)
 
 
 def test_network_rejects_layers_that_do_not_match_its_spec():

@@ -248,6 +248,17 @@ def test_checkpoint_roundtrip_resumes_identically(algorithm, tmp_path):
     assert _equal_nets(net_a, net_b)
 
 
+def test_checkpoint_of_overflowed_accumulator_is_refused_before_writing(tmp_path):
+    # adagrad's sum of squares overflows to inf while its update stays finite (0)
+    net, opt = scalar_net(), make_named("adagrad")
+    drive(opt, net, [(1e200, 0.0)])
+    assert np.isfinite(net.flat).all()
+    path = tmp_path / "opt.json"
+    with pytest.raises(NonFiniteError, match="slot 'sum_sq' of tensor 0"):
+        save_checkpoint(opt, path)
+    assert not path.exists()
+
+
 def test_caadam_checkpoint_keeps_scale_table(tmp_path):
     opt = CaAdam(OptimizerConfig("caadam"), ScaleTable((1.25, 0.8)))
     payload = opt.to_checkpoint()
