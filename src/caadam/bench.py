@@ -38,7 +38,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .linalg import make_rng
-from .nn import CLASSIFICATION, REGRESSION, NetworkSpec, init_network
+from .nn import CLASSIFICATION, REGRESSION, NetworkSpec, init_network, workspace_shapes
 from .optim import OptimizerConfig, make_optimizer
 from .scaling import ScalingStrategy
 from .stats import significance_stars, welch_t_test
@@ -307,9 +307,15 @@ def load_dataset(spec: dict) -> Dataset:
 
 
 def network_spec_for(dataset: Dataset, hidden_sizes) -> NetworkSpec:
+    """The network for ``dataset``.  A training workspace over all its rows is
+    a trial's largest array, so one past NumPy's array size is a config error."""
     output_dim = dataset.n_classes if dataset.task == CLASSIFICATION else 1
-    return NetworkSpec(dataset.n_features, tuple(hidden_sizes), output_dim,
+    spec = NetworkSpec(dataset.n_features, tuple(hidden_sizes), output_dim,
                        output_head=dataset.task)
+    if sum(math.prod(s) for s in workspace_shapes(spec, dataset.n_samples)) > _MAX_ELEMENTS:
+        raise ConfigError(f"architecture {list(hidden_sizes)} is too large for a NumPy "
+                          f"array over {dataset.n_samples} rows")
+    return spec
 
 
 def _metric_name(task: str) -> str:
@@ -445,12 +451,15 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
                    progress=None) -> list[TrialResult]:
     """Run the full grid; returns results sorted by (cell, seed).
 
-    ``workers > 1`` fans trials out to a process pool; the result list is
-    identical either way.  ``log_dir`` writes one loss-curve CSV per trial
-    under ``<log_dir>/<arch>__<optimizer>/trial_<seed>.csv``.
+    ``workers > 1`` fans trials out to a process pool of at most one worker
+    per trial; the result list is identical either way.  ``log_dir`` writes
+    one loss-curve CSV per trial under
+    ``<log_dir>/<arch>__<optimizer>/trial_<seed>.csv``.
     """
     if dataset is None:
         dataset = load_dataset(cfg.dataset)
+    for hidden in cfg.architectures:  # every size is checked before any trial runs
+        network_spec_for(dataset, hidden)
     tasks = [
         (hidden, entry, cfg.base_seed + k)
         for hidden in cfg.architectures
@@ -458,6 +467,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
         for k in range(cfg.trials)
     ]
     initargs = (dataset, cfg.train, cfg.split, log_dir)
+    # A fork-started pool starts all its workers at the first submit.
+    workers = min(workers, len(tasks))
     results: list[TrialResult] = []
     with ExitStack() as stack:
         if workers <= 1:

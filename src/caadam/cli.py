@@ -71,6 +71,8 @@ def _report(trials, baseline: str, out_dir) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     cfg = bench.experiment_from_dict(bench.read_json(args.config, "config"))
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
@@ -135,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=int, default=None,
                          help="override trials per cell")
     p_bench.add_argument("--parallel", type=int, default=1,
-                         help="worker processes (default 1)")
+                         help="worker processes, at most one per trial (default 1)")
     p_bench.add_argument("--baseline", default="adam",
                          help="baseline optimizer label (default adam)")
     p_bench.add_argument("--quiet", action="store_true", help="suppress per-trial lines")

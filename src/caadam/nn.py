@@ -136,23 +136,29 @@ class GradientSet:
             self.flat, self.shapes, self.layers = _pack(self.layers)
 
 
+def workspace_shapes(spec: NetworkSpec, rows: int) -> list[tuple[int, ...]]:
+    """The views of a ``Workspace`` block for ``rows`` rows, in block order:
+    pre-activation rows of every layer, activation rows of every hidden layer
+    and the gradient vector."""
+    outs = [fan_out for _, fan_out in spec.layer_dims]
+    params = sum((fan_in + 1) * fan_out for fan_in, fan_out in spec.layer_dims)
+    return [(rows, k) for k in outs + outs[:-1]] + [(params,)]
+
+
 class Workspace:
     """Reused buffers for ``forward`` and ``backward`` on one network layout:
     one float64 block of per-layer pre-activation and hidden activation rows
-    (up to ``rows``), error rows ``dz`` (up to ``batch_rows``) and a gradient
-    vector laid out as ``Network.flat``.  A call on ``r`` rows uses the first
-    ``r`` rows of each view.  A cache or GradientSet from a call with a
-    workspace stays valid until the next call with that workspace."""
+    (up to ``rows``) and a gradient vector laid out as ``Network.flat``.  A
+    call on ``r`` rows uses the first ``r`` rows of each view.  A cache or
+    GradientSet from a call with a workspace stays valid until the next call
+    with that workspace."""
 
-    def __init__(self, net: Network, rows: int, batch_rows: int | None = None):
-        outs = [fan_out for _, fan_out in net.spec.layer_dims]
-        n = len(outs)
-        self.rows, self.batch_rows, self.shapes = rows, batch_rows or rows, net.shapes
-        shapes = ([(rows, k) for k in outs + outs[:-1]]
-                  + [(self.batch_rows, k) for k in outs] + [net.flat.shape])
+    def __init__(self, net: Network, rows: int):
+        self.rows, self.shapes = rows, net.shapes
+        shapes = workspace_shapes(net.spec, rows)
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))
         *views, self.grad = split_views(self.block, shapes)
-        self.pre, self.act, self.dz = views[:n], views[n : 2 * n - 1], views[2 * n - 1 :]
+        self.pre, self.act = views[: len(net.layers)], views[len(net.layers) :]
         self.grad_layers = _pairs(split_views(self.grad, net.shapes))
 
 
@@ -161,7 +167,6 @@ class ForwardCache:
     """Activation record from one forward pass, consumed by ``backward``;
     its arrays are views into ``workspace``."""
 
-    batch_rows: int
     workspace: Workspace = field(repr=False)
     inputs: list[Matrix] = field(default_factory=list)  # input to each layer
     pre: list[Matrix] = field(default_factory=list)  # pre-activation of each layer
@@ -191,7 +196,7 @@ def forward(net: Network, batch: Matrix,
     if ws.shapes != net.shapes or rows > ws.rows:
         raise ShapeError(f"workspace holds {ws.rows} rows of parameter shapes {ws.shapes}, "
                          f"not {rows} rows of {net.shapes}")
-    cache = ForwardCache(batch_rows=rows, workspace=ws)
+    cache = ForwardCache(workspace=ws)
     h = x
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -206,10 +211,9 @@ def forward(net: Network, batch: Matrix,
     return h, cache
 
 
-def softmax(logits: Matrix, out: Matrix | None = None) -> Matrix:
-    """Row-wise softmax, stabilized by max subtraction; written into ``out``
-    when it is given."""
-    e = np.exp(np.subtract(logits, logits.max(axis=1, keepdims=True), out=out), out=out)
+def softmax(logits: Matrix) -> Matrix:
+    """Row-wise softmax, stabilized by max subtraction."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
     e /= e.sum(axis=1, keepdims=True)
     return e
 
@@ -257,44 +261,37 @@ def loss(prediction: Matrix, targets, head: str) -> float:
 def backward(net: Network, cache: ForwardCache, targets) -> GradientSet:
     """Exact gradients of the batch loss for every weight and bias.
 
-    ``cache`` must come from a ``forward`` call on this network; a foreign
-    cache is rejected by shape checks.  The gradients are written into the
-    cache's workspace and stay valid until its next call.
+    ``cache`` must come from a ``forward`` call on this network layout.  The
+    gradients go into the cache's workspace and stay valid until its next
+    call.  Each hidden layer's error overwrites its ``cache.pre`` rows (the
+    ReLU mask is read from the activations); the prediction survives.
     """
-    n_layers = len(net.layers)
-    if len(cache.inputs) != n_layers or len(cache.pre) != n_layers:
-        raise ShapeError("cache does not match network layer count")
-    for (w, _), h, z in zip(net.layers, cache.inputs, cache.pre):
-        if h.shape != (cache.batch_rows, w.shape[0]) or z.shape != (cache.batch_rows, w.shape[1]):
-            raise ShapeError("cache shapes do not match network parameters")
-
     ws = cache.workspace
+    if ws.shapes != net.shapes:
+        raise ShapeError(f"cache holds parameter shapes {ws.shapes}, not {net.shapes}")
     logits = cache.pre[-1]
     n, k = logits.shape
-    if n > ws.batch_rows:
-        raise ShapeError(f"workspace holds errors for {ws.batch_rows} rows, not {n}")
-    dz = ws.dz[-1][:n]
     if net.spec.output_head == REGRESSION:
         y = as_matrix(targets)
         if y.shape != logits.shape:
             raise ShapeError(f"prediction {logits.shape} vs targets {y.shape}")
-        np.subtract(logits, y, out=dz)
+        dz = np.subtract(logits, y)
         dz *= 2.0
         dz /= logits.size
     else:
         idx = _class_indices(targets, n, k)
-        softmax(logits, out=dz)
+        dz = softmax(logits)
         dz[np.arange(n), idx] -= 1.0
         dz /= n
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_layers - 1, -1, -1):
+        for i in range(len(net.layers) - 1, -1, -1):
             dw, db = ws.grad_layers[i]
             np.matmul(cache.inputs[i].T, dz, out=dw)
             dz.sum(axis=0, out=db)
             if i > 0:
-                dz = np.matmul(dz, net.layers[i][0].T, out=ws.dz[i - 1][:n])
-                dz *= cache.pre[i - 1] > 0.0
+                dz = np.matmul(dz, net.layers[i][0].T, out=cache.pre[i - 1])
+                dz *= cache.inputs[i] > 0.0
     if not np.isfinite(ws.grad).all():
         raise NonFiniteError("backward pass produced non-finite gradients")
     return GradientSet(layers=ws.grad_layers, flat=ws.grad, shapes=net.shapes)

@@ -158,7 +158,7 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
                                  cfg.min_lr)
     rng = make_rng(cfg.seed)
     # Shared by every call below: each result is used before the next call.
-    workspace = Workspace(net, max(n, data.validation.n_samples), min(cfg.batch_size, n))
+    workspace = Workspace(net, max(n, data.validation.n_samples))
     log = TrainLog()
     started = time.monotonic()
 

@@ -92,6 +92,35 @@ def test_run_experiment_parallel_matches_serial():
             (p.cell, p.seed, p.metric, p.epochs_run, p.stop_reason)
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_run_experiment_pool_has_at_most_one_worker_per_trial(monkeypatch):
+    monkeypatch.setattr("caadam.bench.ProcessPoolExecutor", _SerialPool)
+    _SerialPool.sizes = []
+    cfg = tiny_config()
+    pooled, serial = run_experiment(cfg, workers=10**6), run_experiment(cfg)
+    assert _SerialPool.sizes == [6]  # 1 arch x 2 optimizers x 3 trials
+    assert [replace(r, wall_time_s=0.0) for r in pooled] == \
+        [replace(r, wall_time_s=0.0) for r in serial]
+
+
 def test_run_experiment_writes_per_trial_logs(tmp_path):
     log_dir = tmp_path / "logs"
     run_experiment(tiny_config(trials=2), log_dir=str(log_dir))

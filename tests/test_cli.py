@@ -341,6 +341,9 @@ HUGE = 10 ** 400  # a 401-digit JSON integer, past the float range
     {"dataset": {"kind": "synth_classification", "seed": -1}},
     {"dataset": {"kind": "synth_regression", "n": 10 ** 30}},
     {"dataset": {"kind": "synth_classification", "m": 1, "classes": 2 ** 62}},
+    # a layer size past NumPy's array size ends before any weight is drawn
+    {"architectures": [[10 ** 30]]},
+    {"architectures": [[4], [2 ** 62]]},
     # csv options are checked before the file is opened, so none of these reads it
     {"dataset": {"kind": "csv", "path": "absent.csv", "target": "y", "task": "Classification"}},
     {"dataset": {"kind": "csv", "path": "absent.csv", "target": "y", "task": 1}},
@@ -353,6 +356,16 @@ def test_malformed_config_is_config_error(tmp_path, capsys, change):
     code = main(["benchmark", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parallel", ["0", "-4"])
+def test_parallel_below_one_is_config_error_before_any_output(tmp_path, capsys, parallel):
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "o"
+    code = main(["benchmark", "--config", cfg, "--out", str(out), "--parallel", parallel])
+    assert code == EXIT_CONFIG
+    assert "config error: --parallel must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["curves", "train", "benchmark", "benchmark-log"])
