@@ -19,7 +19,6 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -446,6 +445,16 @@ def _worker_run(task, args=_WORKER_ARGS):
 _TRIAL_ORDER = attrgetter("cell", "seed")
 
 
+def checked_dataset(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Dataset:
+    """``dataset``, or the one ``cfg`` names, after every architecture of
+    ``cfg`` is checked against it; ``run_experiment`` calls it before any trial."""
+    if dataset is None:
+        dataset = load_dataset(cfg.dataset)
+    for hidden in cfg.architectures:
+        network_spec_for(dataset, hidden)
+    return dataset
+
+
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
                    workers: int = 1, log_dir=None,
                    progress=None) -> list[TrialResult]:
@@ -456,10 +465,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
     one loss-curve CSV per trial under
     ``<log_dir>/<arch>__<optimizer>/trial_<seed>.csv``.
     """
-    if dataset is None:
-        dataset = load_dataset(cfg.dataset)
-    for hidden in cfg.architectures:  # every size is checked before any trial runs
-        network_spec_for(dataset, hidden)
+    dataset = checked_dataset(cfg, dataset)
     tasks = [
         (hidden, entry, cfg.base_seed + k)
         for hidden in cfg.architectures
@@ -474,6 +480,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
         if workers <= 1:
             mapped = map(partial(_worker_run, args=initargs), tasks)
         else:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
             mapped = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init, initargs=initargs,
             )).map(_worker_run, tasks)

@@ -41,8 +41,10 @@ def _out_dir(path) -> str:
 
 def _cmd_train(args) -> int:
     cfg = bench.experiment_from_dict(bench.read_json(args.config, "config"))
+    dataset = bench.load_dataset(cfg.dataset)
+    bench.network_spec_for(dataset, cfg.architectures[0])  # a config error before any output
     _out_dir(args.out)
-    res = bench.run_trial(bench.load_dataset(cfg.dataset), cfg.architectures[0],
+    res = bench.run_trial(dataset, cfg.architectures[0],
                           cfg.optimizers[0], cfg.train, cfg.split, cfg.base_seed,
                           log_path=os.path.join(args.out, "log.csv"))
     with bench.writing(args.out):
@@ -80,6 +82,7 @@ def _cmd_benchmark(args) -> int:
     if args.baseline not in labels:
         raise ConfigError(f"baseline {args.baseline!r} is not an optimizer label "
                           f"of the config {labels}")
+    dataset = bench.checked_dataset(cfg)  # a config error before any output
     log_dir = _out_dir(os.path.join(_out_dir(args.out), "logs"))
 
     done = {"n": 0}
@@ -91,7 +94,7 @@ def _cmd_benchmark(args) -> int:
             print(f"[{done['n']:>4}/{total}] {res.cell} seed={res.seed} "
                   f"epochs={res.epochs_run} ({res.stop_reason})")
 
-    trials = bench.run_experiment(cfg, workers=args.parallel, log_dir=log_dir,
+    trials = bench.run_experiment(cfg, dataset, workers=args.parallel, log_dir=log_dir,
                                   progress=progress)
     with bench.writing(args.out):
         bench.save_trials(trials, os.path.join(args.out, "trials.json"))

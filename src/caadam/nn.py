@@ -138,28 +138,33 @@ class GradientSet:
 
 def workspace_shapes(spec: NetworkSpec, rows: int) -> list[tuple[int, ...]]:
     """The views of a ``Workspace`` block for ``rows`` rows, in block order:
-    pre-activation rows of every layer, activation rows of every hidden layer
-    and the gradient vector."""
-    outs = [fan_out for _, fan_out in spec.layer_dims]
+    the output rows of every layer and the gradient vector."""
     params = sum((fan_in + 1) * fan_out for fan_in, fan_out in spec.layer_dims)
-    return [(rows, k) for k in outs + outs[:-1]] + [(params,)]
+    return [(rows, fan_out) for _, fan_out in spec.layer_dims] + [(params,)]
 
 
 class Workspace:
     """Reused buffers for ``forward`` and ``backward`` on one network layout:
-    one float64 block of per-layer pre-activation and hidden activation rows
-    (up to ``rows``) and a gradient vector laid out as ``Network.flat``.  A
-    call on ``r`` rows uses the first ``r`` rows of each view.  A cache or
-    GradientSet from a call with a workspace stays valid until the next call
-    with that workspace."""
+    one float64 block of per-layer output rows (up to ``rows``; a hidden
+    layer's ReLU is applied in place) and a gradient vector laid out as
+    ``Network.flat``.  A call on ``r`` rows uses the first ``r`` rows of each
+    view.  A cache or GradientSet from a call with a workspace stays valid
+    until the next call with that workspace."""
 
     def __init__(self, net: Network, rows: int):
         self.rows, self.shapes = rows, net.shapes
         shapes = workspace_shapes(net.spec, rows)
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))
-        *views, self.grad = split_views(self.block, shapes)
-        self.pre, self.act = views[: len(net.layers)], views[len(net.layers) :]
+        *self.outputs, self.grad = split_views(self.block, shapes)
         self.grad_layers = _pairs(split_views(self.grad, net.shapes))
+        self._sliced: dict[int, list[Matrix]] = {}
+
+    def outputs_for(self, rows: int) -> list[Matrix]:
+        """The first ``rows`` rows of every layer's outputs, sliced once per row count."""
+        views = self._sliced.get(rows)
+        if views is None:
+            views = self._sliced[rows] = [out[:rows] for out in self.outputs]
+        return views
 
 
 @dataclass
@@ -169,7 +174,8 @@ class ForwardCache:
 
     workspace: Workspace = field(repr=False)
     inputs: list[Matrix] = field(default_factory=list)  # input to each layer
-    pre: list[Matrix] = field(default_factory=list)  # pre-activation of each layer
+    output: Matrix | None = None  # the prediction
+    consumed: bool = False  # backward has overwritten the hidden rows
 
 
 def init_network(spec: NetworkSpec, rng: np.random.Generator) -> Network:
@@ -200,12 +206,13 @@ def forward(net: Network, batch: Matrix,
     h = x
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (w, b) in enumerate(net.layers):
+        for i, ((w, b), out) in enumerate(zip(net.layers, ws.outputs_for(rows))):
             cache.inputs.append(h)
-            z = np.matmul(h, w, out=ws.pre[i][:rows])
-            z += b
-            cache.pre.append(z)
-            h = z if i == last else np.maximum(z, 0.0, out=ws.act[i][:rows])
+            h = np.matmul(h, w, out=out)
+            h += b
+            if i < last:
+                np.maximum(h, 0.0, out=h)
+    cache.output = h
     if not np.isfinite(h).all():
         raise NonFiniteError("forward pass produced non-finite activations")
     return h, cache
@@ -222,7 +229,7 @@ def _class_indices(targets, n_rows: int, n_classes: int) -> np.ndarray:
     idx = np.asarray(targets).reshape(-1)
     if idx.shape[0] != n_rows:
         raise ShapeError(f"expected {n_rows} target rows, got {idx.shape[0]}")
-    idx = idx.astype(np.int64)
+    idx = idx.astype(np.int64, copy=False)
     if idx.min() < 0 or idx.max() >= n_classes:
         raise ShapeError(
             f"class index out of range [0, {n_classes}): saw {idx.min()}..{idx.max()}"
@@ -263,13 +270,17 @@ def backward(net: Network, cache: ForwardCache, targets) -> GradientSet:
 
     ``cache`` must come from a ``forward`` call on this network layout.  The
     gradients go into the cache's workspace and stay valid until its next
-    call.  Each hidden layer's error overwrites its ``cache.pre`` rows (the
-    ReLU mask is read from the activations); the prediction survives.
+    call.  Each hidden layer's error overwrites that layer's output rows
+    after its ReLU mask is read from them, so a cache serves one ``backward``
+    call; the prediction survives.
     """
     ws = cache.workspace
     if ws.shapes != net.shapes:
         raise ShapeError(f"cache holds parameter shapes {ws.shapes}, not {net.shapes}")
-    logits = cache.pre[-1]
+    if cache.consumed:
+        raise ValueError("this cache was already consumed by backward; run forward again")
+    cache.consumed = True
+    logits = cache.output
     n, k = logits.shape
     if net.spec.output_head == REGRESSION:
         y = as_matrix(targets)
@@ -287,11 +298,13 @@ def backward(net: Network, cache: ForwardCache, targets) -> GradientSet:
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(net.layers) - 1, -1, -1):
             dw, db = ws.grad_layers[i]
-            np.matmul(cache.inputs[i].T, dz, out=dw)
+            rows = cache.inputs[i]
+            np.matmul(rows.T, dz, out=dw)
             dz.sum(axis=0, out=db)
             if i > 0:
-                dz = np.matmul(dz, net.layers[i][0].T, out=cache.pre[i - 1])
-                dz *= cache.inputs[i] > 0.0
+                mask = rows > 0.0
+                dz = np.matmul(dz, net.layers[i][0].T, out=rows)
+                dz *= mask
     if not np.isfinite(ws.grad).all():
         raise NonFiniteError("backward pass produced non-finite gradients")
     return GradientSet(layers=ws.grad_layers, flat=ws.grad, shapes=net.shapes)

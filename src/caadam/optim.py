@@ -24,14 +24,18 @@ Implemented algorithms, each advancing its own accumulators:
 Every rule updates the whole network at once: it reads the parameter and
 gradient vectors (``Network.flat``, ``GradientSet.flat``) and keeps each
 accumulator as one vector of the same layout, allocated at zero on the
-first step.  A non-finite update aborts the step with diagnostics instead
-of being clamped, and leaves the parameters untouched, so a diverging run
-is recorded as such.
+first step.  A step updates the accumulators in place and writes the update
+into one vector the optimizer owns, using one scratch vector; both are
+allocated with the accumulators, so a step allocates no parameter-sized
+float vector (adamax's ``u > 0`` mask is the one temporary).  A non-finite
+update aborts the step with diagnostics instead of being clamped, and leaves
+the parameters untouched, so a diverging run is recorded as such.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -81,6 +85,14 @@ class Optimizer:
         self.t = 0
         self._state: dict[str, np.ndarray] = {}  # accumulator vectors by slot name
         self._shapes: tuple | None = None  # per-tensor layout of the accumulators
+        self._delta = self._scratch = None  # the update and one scratch vector
+
+    def _set_state(self, shapes: tuple, state: dict[str, np.ndarray]) -> None:
+        """Adopt ``state`` for the layout ``shapes`` and allocate the update
+        vector and the scratch vector that every step overwrites."""
+        self._shapes, self._state = shapes, state
+        size = sum(math.prod(shape) for shape in shapes)
+        self._delta, self._scratch = np.empty(size), np.empty(size)
 
     # -- stepping ---------------------------------------------------------
 
@@ -92,14 +104,15 @@ class Optimizer:
             raise ConfigError(f"lr must be > 0, got {lr}")
         check_shapes(grads.shapes, net.shapes, "gradient set")
         if self._shapes is None:
-            self._shapes = net.shapes
-            self._state = {name: np.zeros_like(net.flat) for name in self.slot_names}
+            self._set_state(net.shapes, {name: np.zeros_like(net.flat)
+                                         for name in self.slot_names})
         elif self._shapes != net.shapes:
             raise ShapeError("optimizer state was built for a different network layout")
-        lr = self._effective_lr(net, lr)
+        neg_lr = self._neg_lr(net, lr)
         self.t += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            delta = self._update(net.flat, grads.flat, self._state, lr)
+            self._update(net.flat, grads.flat, neg_lr)
+        delta = self._delta
         if not np.isfinite(delta).all():
             bad = next(i for i, d in enumerate(split_views(delta, net.shapes))
                        if not np.isfinite(d).all())
@@ -110,11 +123,22 @@ class Optimizer:
         net.flat += delta
         return net
 
-    def _effective_lr(self, net: Network, lr: float):
-        return lr
+    def _neg_lr(self, net: Network, lr: float):
+        """The signed step size ``-lr`` that ``_update`` multiplies in."""
+        return -lr
 
-    def _update(self, p, g, slot, lr):
+    def _update(self, p, g, neg_lr) -> None:
+        """Advance the accumulators in ``self._state`` and write the update
+        into ``self._delta``, using ``self._scratch``; allocate no vector."""
         raise NotImplementedError
+
+    def _scaled_step(self, g, neg_lr, sum_sq) -> None:
+        """``delta = -lr * g / sqrt(sum_sq + eps)``."""
+        s = self._scratch
+        np.multiply(g, neg_lr, out=self._delta)
+        np.add(sum_sq, self.config.eps, out=s)
+        np.sqrt(s, out=s)
+        self._delta /= s
 
     @property
     def _slots(self) -> list[dict[str, np.ndarray]]:
@@ -144,101 +168,128 @@ class Optimizer:
         self.t = payload["t"]
         slots = payload["slots"]
         names = list(slots[0]) if slots else []
-        self._shapes = tuple(np.shape(slot[names[0]]) for slot in slots) if names else None
-        self._state = {
-            name: np.concatenate([np.asarray(slot[name], dtype=np.float64).ravel()
-                                  for slot in slots])
-            for name in names
-        }
+        if names:
+            self._set_state(
+                tuple(np.shape(slot[names[0]]) for slot in slots),
+                {name: np.concatenate([np.asarray(slot[name], dtype=np.float64).ravel()
+                                       for slot in slots])
+                 for name in names})
 
+
+def _blend(acc, keep: float, take: float, x, s) -> None:
+    """``acc = keep * acc + take * x`` in place; the scratch ``s`` may be ``x``."""
+    acc *= keep
+    np.multiply(x, take, out=s)
+    acc += s
 
 
 class Sgd(Optimizer):
     algorithm = "sgd"
 
-    def _update(self, p, g, slot, lr):
-        return -lr * g
+    def _update(self, p, g, neg_lr):
+        np.multiply(g, neg_lr, out=self._delta)
 
 
 class Adagrad(Optimizer):
     algorithm = "adagrad"
     slot_names = ("sum_sq",)
 
-    def _update(self, p, g, slot, lr):
-        slot["sum_sq"] = slot["sum_sq"] + g * g
-        return -lr * g / np.sqrt(slot["sum_sq"] + self.config.eps)
+    def _update(self, p, g, neg_lr):
+        sum_sq = self._state["sum_sq"]
+        np.multiply(g, g, out=self._scratch)
+        sum_sq += self._scratch
+        self._scaled_step(g, neg_lr, sum_sq)
 
 
 class Adadelta(Optimizer):
     algorithm = "adadelta"
     slot_names = ("avg_sq",)
 
-    def _update(self, p, g, slot, lr):
-        d = self.config.decay
-        slot["avg_sq"] = d * slot["avg_sq"] + (1.0 - d) * (g * g)
-        return -lr * g / np.sqrt(slot["avg_sq"] + self.config.eps)
+    def _update(self, p, g, neg_lr):
+        self._averaged_step(g, neg_lr, self.config.decay, 1.0 - self.config.decay)
+
+    def _averaged_step(self, g, neg_lr, keep: float, take: float) -> None:
+        avg_sq, s = self._state["avg_sq"], self._scratch
+        np.multiply(g, g, out=s)
+        _blend(avg_sq, keep, take, s, s)
+        self._scaled_step(g, neg_lr, avg_sq)
 
 
-class RmsProp(Optimizer):
+class RmsProp(Adadelta):
     algorithm = "rmsprop"
-    slot_names = ("avg_sq",)
 
     # coefficients fixed at 0.9 / 0.1 by definition
-    def _update(self, p, g, slot, lr):
-        slot["avg_sq"] = 0.9 * slot["avg_sq"] + 0.1 * (g * g)
-        return -lr * g / np.sqrt(slot["avg_sq"] + self.config.eps)
+    def _update(self, p, g, neg_lr):
+        self._averaged_step(g, neg_lr, 0.9, 0.1)
 
 
 class Adam(Optimizer):
     algorithm = "adam"
     slot_names = ("m", "v")
 
-    def _update(self, p, g, slot, lr):
-        b1, b2 = self.config.beta1, self.config.beta2
-        slot["m"] = b1 * slot["m"] + (1.0 - b1) * g
-        slot["v"] = b2 * slot["v"] + (1.0 - b2) * (g * g)
-        m_hat = slot["m"] / (1.0 - b1**self.t)
-        v_hat = slot["v"] / (1.0 - b2**self.t)
-        return -lr * m_hat / (np.sqrt(v_hat) + self.config.eps)
+    def _update(self, p, g, neg_lr):
+        self._moments(g)
+        np.divide(self._state["m"], 1.0 - self.config.beta1**self.t, out=self._delta)
+        self._delta *= neg_lr
+        self._over_rms_v()
+
+    def _moments(self, g) -> None:
+        b1, b2, s = self.config.beta1, self.config.beta2, self._scratch
+        _blend(self._state["m"], b1, 1.0 - b1, g, s)
+        np.multiply(g, g, out=s)
+        _blend(self._state["v"], b2, 1.0 - b2, s, s)
+
+    def _over_rms_v(self) -> None:
+        """``delta /= sqrt(v / (1 - b2**t)) + eps``."""
+        s = self._scratch
+        np.divide(self._state["v"], 1.0 - self.config.beta2**self.t, out=s)
+        np.sqrt(s, out=s)
+        s += self.config.eps
+        self._delta /= s
 
 
 class AdamW(Adam):
     algorithm = "adamw"
 
-    def _update(self, p, g, slot, lr):
-        return super()._update(p, g, slot, lr) - lr * self.config.weight_decay * p
+    def _update(self, p, g, neg_lr):
+        super()._update(p, g, neg_lr)
+        np.multiply(p, -neg_lr * self.config.weight_decay, out=self._scratch)
+        self._delta -= self._scratch
 
 
 class Adamax(Optimizer):
     algorithm = "adamax"
     slot_names = ("m", "u")
 
-    def _update(self, p, g, slot, lr):
-        b1, b2 = self.config.beta1, self.config.beta2
-        slot["m"] = b1 * slot["m"] + (1.0 - b1) * g
-        slot["u"] = np.maximum(b2 * slot["u"], np.abs(g))
-        m_hat = slot["m"] / (1.0 - b1**self.t)
-        u = slot["u"]
+    def _update(self, p, g, neg_lr):
+        b1, u, s, d = self.config.beta1, self._state["u"], self._scratch, self._delta
+        _blend(self._state["m"], b1, 1.0 - b1, g, s)
+        u *= self.config.beta2
+        np.abs(g, out=s)
+        np.maximum(u, s, out=u)
+        np.divide(self._state["m"], 1.0 - b1**self.t, out=s)
         # a coordinate whose gradient has been zero for every step has
         # m == u == 0; define its update as 0 rather than 0/0
-        out = np.zeros_like(p)
-        np.divide(m_hat, u, out=out, where=u > 0.0)
-        return -lr * out
+        d.fill(0.0)
+        np.divide(s, u, out=d, where=u > 0.0)
+        d *= neg_lr
 
 
-class Nadam(Optimizer):
+class Nadam(Adam):
     algorithm = "nadam"
-    slot_names = ("m", "v")
 
-    def _update(self, p, g, slot, lr):
-        b1, b2 = self.config.beta1, self.config.beta2
-        slot["m"] = b1 * slot["m"] + (1.0 - b1) * g
-        slot["v"] = b2 * slot["v"] + (1.0 - b2) * (g * g)
+    def _update(self, p, g, neg_lr):
+        self._moments(g)
+        b1, s, d = self.config.beta1, self._scratch, self._delta
         bias1 = 1.0 - b1**self.t
-        m_hat = slot["m"] / bias1
-        v_hat = slot["v"] / (1.0 - b2**self.t)
-        look_ahead = b1 * m_hat + (1.0 - b1) * g / bias1
-        return -lr * look_ahead / (np.sqrt(v_hat) + self.config.eps)
+        # the look-ahead b1 * m_hat + (1 - b1) * g / bias1, with m_hat = m / bias1
+        np.divide(self._state["m"], bias1, out=d)
+        d *= b1
+        np.multiply(g, 1.0 - b1, out=s)
+        s /= bias1
+        d += s
+        d *= neg_lr
+        self._over_rms_v()
 
 
 class CaAdam(Adam):
@@ -255,10 +306,10 @@ class CaAdam(Adam):
         super().__init__(config)
         self.scale_table = scale_table
         self._lr_key = None
-        self._lr_vector = None
+        self._neg_lr_vector = None
 
-    def _effective_lr(self, net: Network, lr: float) -> np.ndarray:
-        """``lr * S`` broadcast over each layer's weights and bias; rebuilt
+    def _neg_lr(self, net: Network, lr: float) -> np.ndarray:
+        """``-(lr * S)`` broadcast over each layer's weights and bias; rebuilt
         only when ``lr`` or the network layout changes."""
         if self._lr_key != (lr, net.shapes):
             if len(self.scale_table) != len(net.layers):
@@ -267,9 +318,10 @@ class CaAdam(Adam):
                     f"{len(net.layers)} layers"
                 )
             sizes = [w.size + b.size for w, b in net.layers]
-            self._lr_vector = np.repeat([lr * s for s in self.scale_table.factors], sizes)
+            self._neg_lr_vector = np.repeat([-(lr * s) for s in self.scale_table.factors],
+                                            sizes)
             self._lr_key = (lr, net.shapes)
-        return self._lr_vector
+        return self._neg_lr_vector
 
     def to_checkpoint(self) -> dict:
         payload = super().to_checkpoint()

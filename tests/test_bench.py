@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -112,13 +115,24 @@ class _SerialPool:
 
 
 def test_run_experiment_pool_has_at_most_one_worker_per_trial(monkeypatch):
-    monkeypatch.setattr("caadam.bench.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     _SerialPool.sizes = []
     cfg = tiny_config()
     pooled, serial = run_experiment(cfg, workers=10**6), run_experiment(cfg)
     assert _SerialPool.sizes == [6]  # 1 arch x 2 optimizers x 3 trials
     assert [replace(r, wall_time_s=0.0) for r in pooled] == \
         [replace(r, wall_time_s=0.0) for r in serial]
+
+
+def test_importing_caadam_leaves_the_process_pool_unloaded():
+    import caadam
+
+    src = os.path.dirname(os.path.dirname(caadam.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import caadam; "
+            "print('concurrent.futures.process' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_run_experiment_writes_per_trial_logs(tmp_path):

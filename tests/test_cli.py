@@ -453,6 +453,20 @@ def test_missing_csv_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+@pytest.mark.parametrize("change, code", [
+    ({"architectures": [[10 ** 30]]}, EXIT_CONFIG),  # a layer past NumPy's array size
+    ({"dataset": {"kind": "csv", "path": "absent.csv", "target": "y"}}, EXIT_DATA),
+])
+def test_failed_dataset_or_architecture_check_leaves_no_output(tmp_path, monkeypatch,
+                                                               command, change, code):
+    monkeypatch.chdir(tmp_path)  # the relative csv path resolves here
+    cfg = write_config(tmp_path, {**SMALL_CONFIG, **change})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert not out.exists()
+
+
 def test_csv_dataset_without_path_is_config_error(tmp_path, capsys):
     payload = {**SMALL_CONFIG, "dataset": {"kind": "csv", "target": "y"}}
     cfg = write_config(tmp_path, payload)

@@ -248,6 +248,21 @@ def test_checkpoint_roundtrip_resumes_identically(algorithm, tmp_path):
     assert _equal_nets(net_a, net_b)
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_step_updates_its_vectors_in_place(algorithm):
+    net, opt = scalar_net(), make_named(algorithm)
+    drive(opt, net, GRAD_PAIRS[:1])
+    vectors = [*opt._state.values(), opt._delta, opt._scratch]
+    for k in (2, 3):
+        drive(opt, net, GRAD_PAIRS[k - 1 : k])
+        now = [*opt._state.values(), opt._delta, opt._scratch]
+        assert len(now) == len(vectors) and all(a is b for a, b in zip(now, vectors))
+    restored, twin = from_checkpoint(opt.to_checkpoint()), Network(net.spec, net.copy_weights())
+    drive(opt, net, GRAD_PAIRS[3:5])
+    drive(restored, twin, GRAD_PAIRS[3:5])
+    assert restored.t == 5 and twin.flat.tobytes() == net.flat.tobytes()
+
+
 def test_checkpoint_of_overflowed_accumulator_is_refused_before_writing(tmp_path):
     # adagrad's sum of squares overflows to inf while its update stays finite (0)
     net, opt = scalar_net(), make_named("adagrad")
