@@ -17,15 +17,17 @@ sides see the same inputs and share any drift of the machine.
 
 The record keeps ``BENCH_3.json``'s layout.  Under ``trace0.<workload>`` each
 side (``parent`` is the base, ``change`` the change) has its per-run
-``attempted``/``failed`` counts and, per end-to-end metric, the median,
-quartiles and IQR/median of ``perfbench/spread.py``'s ``summarise`` with every
-run's value.  Per metric there are the change/parent ratio of each pair and of
-the medians, the pairs the change won (by the metric's direction in
-``BENCHMARK.json``), and ``<metric>_gain_shown``: it won at least nine pairs
-in ten and its median moved the right way by more than the parent's
-interquartile range.  The record also holds one Tier-1 test suite wall time
-per side.  Each call writes a new ``--out``, replacing any file there, so
-every run in a record comes from the two trees that the record names.
+``attempted``/``failed`` counts, the machine's 1, 5 and 15 minute load
+averages before and after each run (``loadavg_start``/``loadavg_end``) and,
+per end-to-end metric, the median, quartiles and IQR/median of
+``perfbench/spread.py``'s ``summarise`` with every run's value.  Per metric
+there are the change/parent ratio of each pair and of the medians, the pairs
+the change won (by the metric's direction in ``BENCHMARK.json``), and
+``<metric>_gain_shown``: it won at least nine pairs in ten and its median
+moved the right way by more than the parent's interquartile range.  The record
+also holds one Tier-1 test suite wall time per side.  Each call writes a new
+``--out``, replacing any file there, so every run in a record comes from the
+two trees that the record names.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ def side_summary(runs: list[dict]) -> dict:
         "all_correct": all(r["correct"] for r in runs),
         "attempted": [r["attempted"] for r in runs],
         "failed": [r["failed"] for r in runs],
+        **{key: [r["environment"][key] for r in runs] for key in ("loadavg_start", "loadavg_end")},
         "metrics": {name: summarise([r["metrics"][name]["value"] for r in runs])
                     for name in runs[0]["metrics"]},
     }

@@ -64,7 +64,6 @@ from .linalg import Matrix, as_matrix, glorot_uniform, make_rng
 from .nn import (
     CLASSIFICATION,
     REGRESSION,
-    ForwardCache,
     GradientSet,
     Network,
     NetworkSpec,

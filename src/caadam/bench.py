@@ -31,6 +31,7 @@ from .data import (
     Dataset,
     benchmark_regression,
     load_csv,
+    split_sizes,
     split_standardize,
     synth_classification,
     synth_regression,
@@ -144,11 +145,15 @@ _STR = (str,)
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float; an integer too large for one is a config error."""
+    """``value`` as a finite float; an integer too large for one, or a NaN or
+    infinity (``json.load`` reads those tokens), is a config error."""
     try:
-        return float(_checked(value, _NUMBER, what))
+        number = float(_checked(value, _NUMBER, what))
     except OverflowError:
         raise ConfigError(f"{what} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {number}")
+    return number
 
 
 _TRAIN_KEYS = {
@@ -181,8 +186,6 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
 
     scaling = None
     if "scaling" in spec:
-        if algorithm != "caadam":
-            raise ConfigError(f"'scaling' is only valid for caadam, not {algorithm!r}")
         strategy_args = {"kind": _checked(spec["scaling"], _STR, "scaling")}
         if "gamma" in spec:
             strategy_args["gamma"] = _number(spec["gamma"], "gamma")
@@ -446,10 +449,12 @@ _TRIAL_ORDER = attrgetter("cell", "seed")
 
 
 def checked_dataset(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Dataset:
-    """``dataset``, or the one ``cfg`` names, after every architecture of
-    ``cfg`` is checked against it; ``run_experiment`` calls it before any trial."""
+    """``dataset``, or the one ``cfg`` names, after the split and every
+    architecture of ``cfg`` are checked against it; ``run_experiment`` calls
+    it before any trial."""
     if dataset is None:
         dataset = load_dataset(cfg.dataset)
+    split_sizes(dataset.n_samples, cfg.split)
     for hidden in cfg.architectures:
         network_spec_for(dataset, hidden)
     return dataset

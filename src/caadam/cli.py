@@ -41,8 +41,7 @@ def _out_dir(path) -> str:
 
 def _cmd_train(args) -> int:
     cfg = bench.experiment_from_dict(bench.read_json(args.config, "config"))
-    dataset = bench.load_dataset(cfg.dataset)
-    bench.network_spec_for(dataset, cfg.architectures[0])  # a config error before any output
+    dataset = bench.checked_dataset(cfg)  # a config or data error before any output
     _out_dir(args.out)
     res = bench.run_trial(dataset, cfg.architectures[0],
                           cfg.optimizers[0], cfg.train, cfg.split, cfg.base_seed,

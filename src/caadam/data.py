@@ -157,26 +157,16 @@ def _subset(ds: Dataset, idx: np.ndarray) -> Dataset:
     )
 
 
-def split_standardize(
-    ds: Dataset,
-    fractions: tuple[float, float, float] = DEFAULT_SPLIT,
-    seed: int = 0,
-) -> SplitDataset:
-    """Seeded shuffle, contiguous train/validation/test partition, then
-    feature standardization using train-split statistics.
-
-    Partition sizes follow a floor-then-remainder rule: train and validation
-    get floor(fraction * n) rows, test gets the rest.  Regression targets
-    are left in their original units.
-    """
+def split_sizes(n: int, fractions) -> tuple[int, int, int]:
+    """Train, validation and test sizes of ``n`` rows by a floor-then-remainder
+    rule: train and validation get floor(fraction * n) rows, test gets the
+    rest.  Fractions that are not all positive, do not sum to 1, or leave an
+    empty partition are a DataError."""
     f_train, f_val, f_test = fractions
-    if min(f_train, f_val, f_test) <= 0.0:
+    if not all(f > 0.0 for f in fractions):
         raise DataError(f"split fractions must be positive, got {fractions}")
     if abs(f_train + f_val + f_test - 1.0) > 1e-9:
         raise DataError(f"split fractions must sum to 1, got {fractions}")
-
-    n = ds.n_samples
-    perm = make_rng(seed).permutation(n)
     n_train = int(np.floor(f_train * n))
     n_val = int(np.floor(f_val * n))
     n_test = n - n_train - n_val
@@ -185,7 +175,20 @@ def split_standardize(
             f"split of {n} rows by {fractions} leaves an empty partition "
             f"({n_train}/{n_val}/{n_test})"
         )
+    return n_train, n_val, n_test
 
+
+def split_standardize(
+    ds: Dataset,
+    fractions: tuple[float, float, float] = DEFAULT_SPLIT,
+    seed: int = 0,
+) -> SplitDataset:
+    """Seeded shuffle, contiguous train/validation/test partition of the
+    ``split_sizes``, then feature standardization using train-split
+    statistics.  Regression targets are left in their original units.
+    """
+    n_train, n_val, _ = split_sizes(ds.n_samples, fractions)
+    perm = make_rng(seed).permutation(ds.n_samples)
     parts = [
         _subset(ds, perm[:n_train]),
         _subset(ds, perm[n_train : n_train + n_val]),

@@ -3,14 +3,13 @@
 A network is a chain of fully connected layers: ReLU on every hidden layer
 and either a linear output (regression) or raw logits consumed by a softmax
 cross-entropy loss (classification).  ``forward`` returns the prediction
-together with the activation cache that ``backward`` needs to produce
-analytic gradients for every weight and bias.
+together with the ``Workspace`` it wrote, which is the activation cache that
+``backward`` needs to produce analytic gradients for every weight and bias.
 
 Parameters live in one contiguous float64 vector per network, laid out
 W0, b0, W1, b1, ... with each weight matrix row-major; the per-layer
 ``(W, b)`` pairs are views into it.  Gradients use the same layout, so an
-optimizer updates a whole network with one vector expression.  ``forward`` and
-``backward`` write into a ``Workspace`` of reused buffers.
+optimizer updates a whole network with one vector expression.
 """
 
 from __future__ import annotations
@@ -144,38 +143,23 @@ def workspace_shapes(spec: NetworkSpec, rows: int) -> list[tuple[int, ...]]:
 
 
 class Workspace:
-    """Reused buffers for ``forward`` and ``backward`` on one network layout:
-    one float64 block of per-layer output rows (up to ``rows``; a hidden
-    layer's ReLU is applied in place) and a gradient vector laid out as
-    ``Network.flat``.  A call on ``r`` rows uses the first ``r`` rows of each
-    view.  A cache or GradientSet from a call with a workspace stays valid
-    until the next call with that workspace."""
+    """Reused buffers for ``forward`` and ``backward`` on one network layout,
+    and the cache that ``forward`` returns: one float64 block of per-layer
+    output rows (up to ``rows``; a hidden layer's ReLU is applied in place)
+    and ``grads``, a GradientSet of views laid out as ``Network.flat``.  A
+    call on ``r`` rows uses the first ``r`` rows of each view and overwrites
+    what the last call wrote.  ``inputs`` (each layer's input) and ``output``
+    (the prediction) record the last forward pass; ``output`` is None once
+    ``backward`` has consumed it or ``forward`` raised."""
 
     def __init__(self, net: Network, rows: int):
         self.rows, self.shapes = rows, net.shapes
         shapes = workspace_shapes(net.spec, rows)
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))
-        *self.outputs, self.grad = split_views(self.block, shapes)
-        self.grad_layers = _pairs(split_views(self.grad, net.shapes))
-        self._sliced: dict[int, list[Matrix]] = {}
-
-    def outputs_for(self, rows: int) -> list[Matrix]:
-        """The first ``rows`` rows of every layer's outputs, sliced once per row count."""
-        views = self._sliced.get(rows)
-        if views is None:
-            views = self._sliced[rows] = [out[:rows] for out in self.outputs]
-        return views
-
-
-@dataclass
-class ForwardCache:
-    """Activation record from one forward pass, consumed by ``backward``;
-    its arrays are views into ``workspace``."""
-
-    workspace: Workspace = field(repr=False)
-    inputs: list[Matrix] = field(default_factory=list)  # input to each layer
-    output: Matrix | None = None  # the prediction
-    consumed: bool = False  # backward has overwritten the hidden rows
+        *self.outputs, grad = split_views(self.block, shapes)
+        self.grads = GradientSet(_pairs(split_views(grad, net.shapes)), grad, net.shapes)
+        self.inputs: list[Matrix] = []
+        self.output: Matrix | None = None
 
 
 def init_network(spec: NetworkSpec, rng: np.random.Generator) -> Network:
@@ -189,9 +173,10 @@ def init_network(spec: NetworkSpec, rng: np.random.Generator) -> Network:
 
 
 def forward(net: Network, batch: Matrix,
-            workspace: Workspace | None = None) -> tuple[Matrix, ForwardCache]:
-    """Run the network on ``batch`` (rows are samples), keeping the cache.
-    Both are views into ``workspace``, or into a new one sized to the batch."""
+            workspace: Workspace | None = None) -> tuple[Matrix, Workspace]:
+    """Run the network on ``batch`` (rows are samples); returns the prediction,
+    a view into ``workspace`` (or into a new one sized to the batch), and
+    that workspace as the cache for ``backward``."""
     x = as_matrix(batch)
     if x.shape[1] != net.spec.input_dim:
         raise ShapeError(
@@ -202,20 +187,21 @@ def forward(net: Network, batch: Matrix,
     if ws.shapes != net.shapes or rows > ws.rows:
         raise ShapeError(f"workspace holds {ws.rows} rows of parameter shapes {ws.shapes}, "
                          f"not {rows} rows of {net.shapes}")
-    cache = ForwardCache(workspace=ws)
+    ws.inputs.clear()
+    ws.output = None
     h = x
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, ((w, b), out) in enumerate(zip(net.layers, ws.outputs_for(rows))):
-            cache.inputs.append(h)
-            h = np.matmul(h, w, out=out)
+        for i, ((w, b), out) in enumerate(zip(net.layers, ws.outputs)):
+            ws.inputs.append(h)
+            h = np.matmul(h, w, out=out[:rows])
             h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
-    cache.output = h
     if not np.isfinite(h).all():
         raise NonFiniteError("forward pass produced non-finite activations")
-    return h, cache
+    ws.output = h
+    return h, ws
 
 
 def softmax(logits: Matrix) -> Matrix:
@@ -265,22 +251,21 @@ def loss(prediction: Matrix, targets, head: str) -> float:
     return value
 
 
-def backward(net: Network, cache: ForwardCache, targets) -> GradientSet:
+def backward(net: Network, cache: Workspace, targets) -> GradientSet:
     """Exact gradients of the batch loss for every weight and bias.
 
-    ``cache`` must come from a ``forward`` call on this network layout.  The
-    gradients go into the cache's workspace and stay valid until its next
-    call.  Each hidden layer's error overwrites that layer's output rows
-    after its ReLU mask is read from them, so a cache serves one ``backward``
-    call; the prediction survives.
+    ``cache`` is the workspace of a ``forward`` call on this network layout;
+    the gradients go into its ``grads``, which this returns.  Each hidden
+    layer's error overwrites that layer's output rows after its ReLU mask is
+    read from them, so a forward pass serves one ``backward`` call; the
+    prediction survives.
     """
-    ws = cache.workspace
-    if ws.shapes != net.shapes:
-        raise ShapeError(f"cache holds parameter shapes {ws.shapes}, not {net.shapes}")
-    if cache.consumed:
-        raise ValueError("this cache was already consumed by backward; run forward again")
-    cache.consumed = True
+    if cache.shapes != net.shapes:
+        raise ShapeError(f"cache holds parameter shapes {cache.shapes}, not {net.shapes}")
     logits = cache.output
+    if logits is None:
+        raise ValueError("this cache holds no forward pass: it was already consumed by "
+                         "backward, or forward raised; run forward again")
     n, k = logits.shape
     if net.spec.output_head == REGRESSION:
         y = as_matrix(targets)
@@ -295,9 +280,11 @@ def backward(net: Network, cache: ForwardCache, targets) -> GradientSet:
         dz[np.arange(n), idx] -= 1.0
         dz /= n
 
+    cache.output = None
+    grads = cache.grads
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(net.layers) - 1, -1, -1):
-            dw, db = ws.grad_layers[i]
+            dw, db = grads.layers[i]
             rows = cache.inputs[i]
             np.matmul(rows.T, dz, out=dw)
             dz.sum(axis=0, out=db)
@@ -305,6 +292,6 @@ def backward(net: Network, cache: ForwardCache, targets) -> GradientSet:
                 mask = rows > 0.0
                 dz = np.matmul(dz, net.layers[i][0].T, out=rows)
                 dz *= mask
-    if not np.isfinite(ws.grad).all():
+    if not np.isfinite(grads.flat).all():
         raise NonFiniteError("backward pass produced non-finite gradients")
-    return GradientSet(layers=ws.grad_layers, flat=ws.grad, shapes=net.shapes)
+    return grads

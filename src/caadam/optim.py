@@ -64,6 +64,8 @@ class OptimizerConfig:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {sorted(_REGISTRY)}"
             )
+        if self.scaling is not None and self.algorithm != "caadam":
+            raise ConfigError(f"'scaling' is only valid for caadam, not {self.algorithm!r}")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

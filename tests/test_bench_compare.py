@@ -1,5 +1,6 @@
 """The gain rule of ``scripts/bench_compare.py``: which pairs a change wins,
-and when a BENCH record says ``<metric>_gain_shown``."""
+and when a BENCH record says ``<metric>_gain_shown``; and what a side's
+record keeps of each run."""
 
 import importlib.util
 import sys
@@ -65,3 +66,16 @@ def test_nine_wins_with_the_median_moved_past_the_iqr_is_a_shown_gain():
     out = compare({"train_rows_per_s": PARENT}, {"train_rows_per_s": shifted(6.0, 1)})
     assert out["train_rows_per_s_pairs_won"] == 9
     assert out["train_rows_per_s_gain_shown"]
+
+
+def test_side_summary_keeps_each_runs_load_averages_in_run_order():
+    runs = [{"correct": True, "attempted": 3, "failed": 0,
+             "metrics": {"wall_s": {"value": 10.0 + i}},
+             "environment": {"loadavg_start": [float(i), 0.5, 0.25],
+                             "loadavg_end": [i + 0.5, 0.5, 0.25], "nproc": 2}}
+            for i in range(3)]
+    summary = bench_compare.side_summary(runs)
+    assert summary["loadavg_start"] == [[0.0, 0.5, 0.25], [1.0, 0.5, 0.25], [2.0, 0.5, 0.25]]
+    assert summary["loadavg_end"] == [[0.5, 0.5, 0.25], [1.5, 0.5, 0.25], [2.5, 0.5, 0.25]]
+    assert summary["attempted"] == [3, 3, 3]
+    assert summary["metrics"]["wall_s"]["values"] == [10.0, 11.0, 12.0]

@@ -311,6 +311,7 @@ def test_report_on_constant_unequal_cells_writes_valid_json(tmp_path):
 
 
 HUGE = 10 ** 400  # a 401-digit JSON integer, past the float range
+NAN = float("nan")  # json.dumps writes it as the token NaN, which json.load reads
 
 
 @pytest.mark.parametrize("change", [
@@ -350,6 +351,13 @@ HUGE = 10 ** 400  # a 401-digit JSON integer, past the float range
     {"dataset": {"kind": "csv", "path": 0, "target": "y"}},
     {"dataset": {"kind": "csv", "path": "absent.csv", "target": ["y"]}},
     {"dataset": {"kind": "csv", "path": "absent.csv", "target": "y", "sep": ";"}},
+    # NaN and Infinity tokens are not finite numbers
+    {"dataset": {"kind": "synth_regression", "noise_std": NAN}},
+    {"train": {"early_stop_min_delta": NAN}},
+    {"train": {"initial_lr": math.inf}},
+    {"optimizers": [{"algorithm": "adam", "eps": NAN}]},
+    {"optimizers": [{"algorithm": "adamw", "label": "adam", "weight_decay": NAN}]},
+    {"split": [NAN, 0.2, 0.2]},
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, change):
     cfg = write_config(tmp_path, {**SMALL_CONFIG, **change})
@@ -457,6 +465,8 @@ def test_missing_csv_file_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("change, code", [
     ({"architectures": [[10 ** 30]]}, EXIT_CONFIG),  # a layer past NumPy's array size
     ({"dataset": {"kind": "csv", "path": "absent.csv", "target": "y"}}, EXIT_DATA),
+    ({"split": [0.5, 0.5, 0.5]}, EXIT_DATA),  # fractions that do not sum to 1
+    ({"dataset": {"kind": "synth_regression", "n": 3}}, EXIT_DATA),  # an empty partition
 ])
 def test_failed_dataset_or_architecture_check_leaves_no_output(tmp_path, monkeypatch,
                                                                command, change, code):

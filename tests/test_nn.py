@@ -241,8 +241,10 @@ def test_workspace_calls_match_one_call_workspaces_and_reuse_the_buffers(head):
         pred, cache = forward(net, x[rows])
         grads = backward(net, cache, y[rows])
         pred_ws, cache_ws = forward(net, x[rows], ws)
+        assert cache_ws is ws  # the workspace is the cache
         kept = pred_ws.copy()
         grads_ws.append(backward(net, cache_ws, y[rows]))
+        assert grads_ws[-1] is ws.grads
         assert_array_equal(pred_ws, pred)
         assert_array_equal(pred_ws, kept)  # backward leaves the prediction as it was
         assert_array_equal(grads_ws[-1].flat, grads.flat)
@@ -253,6 +255,10 @@ def test_workspace_calls_match_one_call_workspaces_and_reuse_the_buffers(head):
     assert grads_ws[0].flat is grads_ws[1].flat  # the second step overwrote the first
     pred, cache = forward(net, x, ws)  # evaluation uses every row
     assert np.shares_memory(pred, ws.block)
+    with pytest.raises(NonFiniteError):
+        forward(net, np.full((2, 4), np.inf), ws)
+    with pytest.raises(ValueError, match="forward raised"):  # nothing left to consume
+        backward(net, ws, y[:2])
     with pytest.raises(ShapeError, match="workspace holds 23 rows"):
         forward(net, np.zeros((24, 4)), ws)
     with pytest.raises(ShapeError, match="workspace holds"):

@@ -215,6 +215,8 @@ def test_optimizer_config_validation():
         OptimizerConfig("adam", eps=0.0)
     with pytest.raises(ConfigError, match="decay"):
         OptimizerConfig("adadelta", decay=1.0)
+    with pytest.raises(ConfigError, match="'scaling' is only valid for caadam, not 'adam'"):
+        OptimizerConfig("adam", scaling=ScalingStrategy("multiplicative"))
 
 
 # ---------------------------------------------------------------------------
