@@ -44,7 +44,6 @@ from .data import (
     REGRESSION_TASK,
     Dataset,
     SplitDataset,
-    Standardization,
     benchmark_regression,
     load_csv,
     split_standardize,

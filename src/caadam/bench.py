@@ -20,7 +20,7 @@ import os
 import re
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
 
@@ -91,6 +91,8 @@ class ExperimentConfig:
         )
         object.__setattr__(self, "optimizers", tuple(self.optimizers))
         object.__setattr__(self, "split", tuple(float(f) for f in self.split))
+        if len(self.split) != 3:
+            raise ConfigError(f"split must have 3 fractions, got {self.split}")
         if self.trials < 2:
             raise ConfigError(f"trials must be >= 2, got {self.trials}")
         if self.base_seed < 0:
@@ -123,11 +125,9 @@ class TrialResult:
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-_OPTIMIZER_KEYS = {
-    "algorithm", "label", "beta1", "beta2", "eps",
-    "decay", "weight_decay", "scaling", "gamma", "sigma",
-}
+#
+# The constructors own every range; the parser checks JSON kinds and coerces.
+# Its keys are the dataclass fields, and a key's kind is that of its default.
 
 
 def _checked(value, kinds: tuple, what: str):
@@ -156,15 +156,37 @@ def _number(value, what: str) -> float:
     return number
 
 
-_TRAIN_KEYS = {
-    "batch_size": _INT, "max_epochs": _INT, "early_stop_patience": _INT,
-    "early_stop_min_delta": _NUMBER, "lr_reduce_factor": _NUMBER,
-    "lr_reduce_patience": _INT, "min_lr": _NUMBER, "initial_lr": _NUMBER,
-}
+def _parsed(value, default, what: str):
+    """``value`` checked to be the JSON kind of ``default`` and coerced: a
+    finite float, a list of them, an integer, or a TrainConfig from a mapping."""
+    if isinstance(default, float):
+        return _number(value, what)
+    if isinstance(default, tuple):
+        return tuple(_number(v, what) for v in _checked(value, _LIST, what))
+    if isinstance(default, TrainConfig):
+        unknown = _checked(value, (dict,), what).keys() - _TRAIN_KEYS.keys()
+        if unknown:
+            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+        return TrainConfig(**{key: _parsed(v, _TRAIN_KEYS[key], key) for key, v in value.items()})
+    return _checked(value, _INT, what)
 
-_EXPERIMENT_KEYS = {
-    "dataset", "architectures", "optimizers", "train", "trials", "base_seed", "split",
-}
+
+def _defaults(cls) -> dict:
+    """The default of each field of dataclass ``cls`` that has one."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+# A trial derives its shuffle seed, so a config sets no train seed.
+_TRAIN_KEYS = {key: d for key, d in _defaults(TrainConfig).items() if key != "seed"}
+# An optimizer entry takes no learning_rate (every optimizer starts from
+# train.initial_lr), adds a label, and flattens the ScalingStrategy into
+# scaling/gamma/sigma.
+_OPTIMIZER_FLOATS = [key for key, d in _defaults(OptimizerConfig).items()
+                     if isinstance(d, float) and key != "learning_rate"]
+_OPTIMIZER_KEYS = ({f.name for f in fields(OptimizerConfig)} - {"learning_rate"}
+                   | {"label", "gamma", "sigma"})
+_EXPERIMENT_KEYS = [f.name for f in fields(ExperimentConfig)]
+_EXPERIMENT_DEFAULTS = _defaults(ExperimentConfig)
 
 
 def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
@@ -197,10 +219,7 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
     elif "gamma" in spec or "sigma" in spec:
         raise ConfigError("'gamma'/'sigma' are only valid together with 'scaling'")
 
-    kwargs = {}
-    for key in ("beta1", "beta2", "eps", "decay", "weight_decay"):
-        if key in spec:
-            kwargs[key] = _number(spec[key], key)
+    kwargs = {key: _number(spec[key], key) for key in _OPTIMIZER_FLOATS if key in spec}
     config = OptimizerConfig(algorithm=algorithm, scaling=scaling, **kwargs)
     label = _checked(spec.get("label", default_label(config)), _STR, "label")
     return OptimizerEntry(label=label, config=config)
@@ -210,31 +229,12 @@ def experiment_from_dict(payload: dict) -> ExperimentConfig:
     """Parse the experiment config mapping used by config files."""
     if not isinstance(payload, dict):
         raise ConfigError(f"experiment config must be a mapping, got {type(payload).__name__}")
-    unknown = set(payload) - _EXPERIMENT_KEYS
+    unknown = payload.keys() - _EXPERIMENT_KEYS
     if unknown:
         raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
-    for key in ("dataset", "architectures", "optimizers"):
-        if key not in payload:
+    for key in _EXPERIMENT_KEYS:
+        if key not in payload and key not in _EXPERIMENT_DEFAULTS:
             raise ConfigError(f"experiment config needs {key!r}")
-
-    train_spec = _checked(payload.get("train", {}), (dict,), "train")
-    unknown = train_spec.keys() - _TRAIN_KEYS.keys()
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    train_cfg = TrainConfig(**{
-        key: _number(value, key) if _TRAIN_KEYS[key] is _NUMBER else _checked(value, _INT, key)
-        for key, value in train_spec.items()})
-
-    kwargs = {}
-    if "trials" in payload:
-        kwargs["trials"] = _checked(payload["trials"], _INT, "trials")
-    if "base_seed" in payload:
-        kwargs["base_seed"] = _checked(payload["base_seed"], _INT, "base_seed")
-    if "split" in payload:
-        split = _checked(payload["split"], _LIST, "split")
-        if len(split) != 3:
-            raise ConfigError(f"split must have 3 fractions, got {split}")
-        kwargs["split"] = tuple(_number(f, "split fraction") for f in split)
     return ExperimentConfig(
         dataset=dict(_checked(payload["dataset"], (dict,), "dataset")),
         architectures=tuple(
@@ -243,8 +243,8 @@ def experiment_from_dict(payload: dict) -> ExperimentConfig:
         ),
         optimizers=tuple(optimizer_entry_from_dict(o)
                          for o in _checked(payload["optimizers"], _LIST, "optimizers")),
-        train=train_cfg,
-        **kwargs,
+        **{key: _parsed(payload[key], default, key)
+           for key, default in _EXPERIMENT_DEFAULTS.items() if key in payload},
     )
 
 
@@ -257,11 +257,9 @@ _MAX_ELEMENTS = np.iinfo(np.intp).max // 8
 
 
 def _synth_ints(spec: dict, **defaults) -> dict:
-    """Pop the integer options named in ``defaults`` from ``spec``; a negative
-    seed, or n or classes rows of m floats past NumPy's array size, is a config error."""
+    """Pop the integer options named in ``defaults`` from ``spec``; n or
+    classes rows of m floats past NumPy's array size is a config error."""
     out = {key: _checked(spec.pop(key, value), _INT, key) for key, value in defaults.items()}
-    if out["seed"] < 0:
-        raise ConfigError(f"dataset seed must be >= 0, got {out['seed']}")
     if max(out["n"], out.get("classes", 0)) * out["m"] > _MAX_ELEMENTS:
         raise ConfigError(f"dataset sizes {out} are too large for a NumPy array")
     return out

@@ -14,6 +14,7 @@ never depend on downloads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,22 +67,10 @@ class Dataset:
 
 
 @dataclass
-class Standardization:
-    """Per-feature mean and std, always taken from the training split."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, features: Matrix) -> Matrix:
-        return (features - self.mean) / self.std
-
-
-@dataclass
 class SplitDataset:
     train: Dataset
     validation: Dataset
     test: Dataset
-    standardization: Standardization
 
 
 def load_csv(path, target: str, task: str = REGRESSION_TASK) -> Dataset:
@@ -196,10 +185,9 @@ def split_standardize(
     ]
     mean = parts[0].features.mean(axis=0)
     std = np.maximum(parts[0].features.std(axis=0), _STD_FLOOR)
-    record = Standardization(mean=mean, std=std)
     for p in parts:
-        p.features = record.apply(p.features)
-    return SplitDataset(train=parts[0], validation=parts[1], test=parts[2], standardization=record)
+        p.features = (p.features - mean) / std
+    return SplitDataset(*parts)
 
 
 def synth_regression_surface(features: Matrix) -> np.ndarray:
@@ -241,9 +229,9 @@ def synth_regression(
     """
     if n < 1 or m < 1:
         raise DataError(f"n and m must be >= 1, got ({n}, {m})")
-    if noise_std < 0.0:
-        raise DataError(f"noise_std must be >= 0, got {noise_std}")
-    if not np.isfinite(scale) or scale <= 0.0:
+    if not 0.0 <= noise_std < math.inf:
+        raise DataError(f"noise_std must be a finite number >= 0, got {noise_std}")
+    if not 0.0 < scale < math.inf:
         raise DataError(f"scale must be a positive finite number, got {scale}")
     rng = make_rng(seed)
     features = rng.uniform(0.0, 1.0, size=(n, m))
@@ -291,6 +279,8 @@ def synth_classification(
     noise around each center, labels drawn uniformly."""
     if n < 1 or m < 1 or classes < 2:
         raise DataError(f"need n, m >= 1 and classes >= 2, got ({n}, {m}, {classes})")
+    if not 0.0 <= spread < math.inf:
+        raise DataError(f"spread must be a finite number >= 0, got {spread}")
     rng = make_rng(seed)
     centers = rng.uniform(-3.0, 3.0, size=(classes, m))
     labels = rng.integers(0, classes, size=n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 Matrix = np.ndarray
 
@@ -28,7 +28,10 @@ def as_matrix(values) -> Matrix:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator for ``seed``; same seed, same stream, always."""
+    """Deterministic generator for ``seed``; same seed, same stream, always.
+    A negative seed is a ConfigError."""
+    if not seed >= 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -66,14 +66,17 @@ class OptimizerConfig:
             )
         if self.scaling is not None and self.algorithm != "caadam":
             raise ConfigError(f"'scaling' is only valid for caadam, not {self.algorithm!r}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be a positive finite number, "
+                              f"got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"beta1/beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0.0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be a positive finite number, got {self.eps}")
         if not 0.0 < self.decay < 1.0:
             raise ConfigError(f"decay must lie in (0, 1), got {self.decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be a finite number >= 0, got {self.weight_decay}")
 
 
 class Optimizer:

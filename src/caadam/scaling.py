@@ -24,6 +24,7 @@ static, so the table never changes during training.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .arch import ArchitectureSummary
@@ -60,12 +61,13 @@ class ScalingStrategy:
             raise ConfigError(f"unknown scaling kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
         if kind in (ADDITIVE, MULTIPLICATIVE):
-            if not 0.0 < self.gamma < 1.0:
-                raise ConfigError(
-                    f"gamma must be in (0, 1) for {kind} scaling, got {self.gamma}"
-                )
-        elif self.gamma <= -1.0:
-            raise ConfigError(f"gamma must be > -1 for depth scaling, got {self.gamma}")
+            # Not subnormal: 1 / gamma, the largest multiplicative factor, must be finite.
+            if not sys.float_info.min <= self.gamma < 1.0:
+                raise ConfigError(f"gamma must lie in [{sys.float_info.min}, 1) "
+                                  f"for {kind} scaling, got {self.gamma}")
+        elif not -1.0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be a finite number > -1 for depth scaling, "
+                              f"got {self.gamma}")
         if self.multiplicative_sigma not in (SIGNED, UNSIGNED):
             raise ConfigError(
                 f"multiplicative_sigma must be 'signed' or 'unsigned', "

@@ -50,16 +50,16 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.early_stop_patience < 1 or self.lr_reduce_patience < 1:
             raise ConfigError("patience values must be >= 1")
-        if self.early_stop_min_delta < 0.0:
-            raise ConfigError("early_stop_min_delta must be >= 0")
+        if not 0.0 <= self.early_stop_min_delta < math.inf:
+            raise ConfigError(f"early_stop_min_delta must be a finite number >= 0, "
+                              f"got {self.early_stop_min_delta}")
         if not 0.0 < self.lr_reduce_factor < 1.0:
             raise ConfigError(
                 f"lr_reduce_factor must lie in (0, 1), got {self.lr_reduce_factor}"
             )
-        if not 0.0 < self.min_lr <= self.initial_lr:
-            raise ConfigError(
-                f"need 0 < min_lr <= initial_lr, got {self.min_lr} vs {self.initial_lr}"
-            )
+        if not 0.0 < self.min_lr <= self.initial_lr < math.inf:
+            raise ConfigError(f"need 0 < min_lr <= initial_lr < inf, "
+                              f"got {self.min_lr} vs {self.initial_lr}")
 
 
 class EarlyStopper:

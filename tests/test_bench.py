@@ -31,12 +31,12 @@ from caadam.bench import (
     save_trials,
     trial_setup,
 )
-from caadam.data import DEFAULT_SPLIT, synth_regression
-from caadam.errors import ConfigError
+from caadam.data import DEFAULT_SPLIT, Dataset, synth_classification, synth_regression
+from caadam.errors import ConfigError, DataError
 from caadam.nn import CLASSIFICATION, REGRESSION
 from caadam.optim import OptimizerConfig
 from caadam.scaling import ScalingStrategy
-from caadam.train import STOP_DIVERGED, TrainConfig
+from caadam.train import STOP_DIVERGED, STOP_EARLY, STOP_MAX_EPOCHS, TrainConfig
 
 ADAM = OptimizerEntry("adam", OptimizerConfig("adam"))
 CAADAM_MULT = OptimizerEntry(
@@ -503,6 +503,83 @@ def test_experiment_config_validation():
         tiny_config(optimizers=(ADAM, ADAM))
     with pytest.raises(ConfigError, match="bad optimizer label"):
         OptimizerEntry("a|b", OptimizerConfig("adam"))
+    with pytest.raises(ConfigError, match="split must have 3 fractions"):
+        tiny_config(split=(0.5, 0.5))
+
+
+_SMALL_DATA = dict(n=120, m=3, seed=1)
+
+# Every float field of the trial configs and the synthetic generators: the
+# object built from one value of it, and the field's documented range as
+# (low, high, brackets), where "[)" reads low <= value < high.
+_FLOAT_FIELDS = {
+    "early_stop_min_delta": (lambda v: TrainConfig(early_stop_min_delta=v), 0.0, math.inf, "[)"),
+    "lr_reduce_factor": (lambda v: TrainConfig(lr_reduce_factor=v), 0.0, 1.0, "()"),
+    # min_lr <= initial_lr, each against the other's default
+    "min_lr": (lambda v: TrainConfig(min_lr=v), 0.0, 1e-3, "(]"),
+    "initial_lr": (lambda v: TrainConfig(initial_lr=v), 2.5e-5, math.inf, "[)"),
+    "learning_rate": (lambda v: OptimizerConfig("adam", learning_rate=v), 0.0, math.inf, "()"),
+    "beta1": (lambda v: OptimizerConfig("adam", beta1=v), 0.0, 1.0, "[)"),
+    "beta2": (lambda v: OptimizerConfig("adam", beta2=v), 0.0, 1.0, "[)"),
+    "eps": (lambda v: OptimizerConfig("adam", eps=v), 0.0, math.inf, "()"),
+    "decay": (lambda v: OptimizerConfig("adadelta", decay=v), 0.0, 1.0, "()"),
+    "weight_decay": (lambda v: OptimizerConfig("adamw", weight_decay=v), 0.0, math.inf, "[)"),
+    # from the smallest normal float: a subnormal gamma's 1/gamma overflows
+    **{f"{kind} gamma": (lambda v, kind=kind: OptimizerConfig(
+        "caadam", scaling=ScalingStrategy(kind, gamma=v)), sys.float_info.min, 1.0, "[)")
+       for kind in ("additive", "multiplicative")},
+    "depth gamma": (lambda v: OptimizerConfig("caadam", scaling=ScalingStrategy("depth", gamma=v)),
+                    -1.0, math.inf, "()"),
+    "noise_std": (lambda v: synth_regression(**_SMALL_DATA, noise_std=v), 0.0, math.inf, "[)"),
+    "scale": (lambda v: synth_regression(**_SMALL_DATA, scale=v), 0.0, math.inf, "()"),
+    # A spread near the float range overflows the features, which Dataset
+    # refuses; past 1e300 the test draws only 1e308, which does.
+    "spread": (lambda v: synth_classification(**_SMALL_DATA, spread=v), 0.0, 1e300, "[]"),
+}
+# 1e-4 lies in every range above.
+_SPECIAL_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 1e-4)
+
+
+def _inside(value, low, high, brackets) -> bool:
+    above = low <= value if brackets[0] == "[" else low < value
+    return above and (value <= high if brackets[1] == "]" else value < high)
+
+
+def _floats_inside(low, high, brackets):
+    return st.floats(low, high, exclude_min=brackets[0] == "(", exclude_max=brackets[1] == ")")
+
+
+_FIELD_VALUE = st.sampled_from(sorted(_FLOAT_FIELDS)).flatmap(lambda name: st.tuples(
+    st.just(name), st.sampled_from(_SPECIAL_VALUES) | _floats_inside(*_FLOAT_FIELDS[name][1:])))
+
+
+def _with_every_special_value(test):
+    """Every field with every special value, as explicit examples."""
+    for name in _FLOAT_FIELDS:
+        for value in _SPECIAL_VALUES:
+            test = example((name, value))(test)
+    return test
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # 1e308 overflows on purpose
+@settings(max_examples=60, deadline=None, database=None)
+@given(_FIELD_VALUE)
+@_with_every_special_value
+def test_float_field_is_refused_exactly_outside_its_range_and_trains_inside(case):
+    name, value = case
+    build, *documented = _FLOAT_FIELDS[name]
+    try:
+        built = build(value)
+    except (ConfigError, DataError):
+        assert not _inside(value, *documented), f"{name}={value} is in range but refused"
+        return
+    assert _inside(value, *documented), f"{name}={value} is out of range but accepted"
+    dataset = built if isinstance(built, Dataset) else synth_regression(**_SMALL_DATA)
+    optimizer = built if isinstance(built, OptimizerConfig) else OptimizerConfig("adam")
+    train_cfg = built if isinstance(built, TrainConfig) else TrainConfig()
+    result = run_trial(dataset, (4,), OptimizerEntry("x", optimizer),
+                       replace(train_cfg, batch_size=32, max_epochs=2), DEFAULT_SPLIT, 0)
+    assert result.stop_reason in (STOP_EARLY, STOP_MAX_EPOCHS, STOP_DIVERGED)
 
 
 def test_load_dataset_kinds_and_errors():

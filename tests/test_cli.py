@@ -358,6 +358,10 @@ NAN = float("nan")  # json.dumps writes it as the token NaN, which json.load rea
     {"optimizers": [{"algorithm": "adam", "eps": NAN}]},
     {"optimizers": [{"algorithm": "adamw", "label": "adam", "weight_decay": NAN}]},
     {"split": [NAN, 0.2, 0.2]},
+    # the constructors own every range
+    {"optimizers": [{"algorithm": "adamw", "label": "adam", "weight_decay": -1}]},
+    {"optimizers": [{"algorithm": "adam"},  # a subnormal gamma whose 1/gamma overflows
+                    {"algorithm": "caadam", "scaling": "multiplicative", "gamma": 1e-320}]},
 ])
 def test_malformed_config_is_config_error(tmp_path, capsys, change):
     cfg = write_config(tmp_path, {**SMALL_CONFIG, **change})
@@ -467,6 +471,7 @@ def test_missing_csv_file_is_data_error(tmp_path, capsys):
     ({"dataset": {"kind": "csv", "path": "absent.csv", "target": "y"}}, EXIT_DATA),
     ({"split": [0.5, 0.5, 0.5]}, EXIT_DATA),  # fractions that do not sum to 1
     ({"dataset": {"kind": "synth_regression", "n": 3}}, EXIT_DATA),  # an empty partition
+    ({"dataset": {"kind": "synth_classification", "spread": -1.0}}, EXIT_DATA),
 ])
 def test_failed_dataset_or_architecture_check_leaves_no_output(tmp_path, monkeypatch,
                                                                command, change, code):

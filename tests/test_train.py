@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from caadam.data import synth_regression, split_standardize
+from caadam.data import split_standardize, synth_classification, synth_regression
 from caadam.errors import ConfigError, DataError
 from caadam.linalg import make_rng
 from caadam.nn import Network, NetworkSpec, init_network
@@ -306,6 +306,19 @@ def test_train_config_validation():
         TrainConfig(min_lr=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(min_lr=2e-3, initial_lr=1e-3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda split, net: make_rng(-1),
+    lambda split, net: synth_regression(n=40, m=2, seed=-1),
+    lambda split, net: synth_classification(n=40, m=2, seed=-1),
+    lambda split, net: split_standardize(split.train, seed=-1),
+    lambda split, net: train(net, make_optimizer(OptimizerConfig("adam")), split,
+                             TrainConfig(max_epochs=1, seed=-1)),
+], ids=["make_rng", "synth_regression", "synth_classification", "split_standardize", "train"])
+def test_negative_seed_is_config_error(call):
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        call(*small_problem())
 
 
 def test_export_log_csv_roundtrips_floats(tmp_path):
