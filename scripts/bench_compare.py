@@ -19,15 +19,24 @@ The record keeps ``BENCH_3.json``'s layout.  Under ``trace0.<workload>`` each
 side (``parent`` is the base, ``change`` the change) has its per-run
 ``attempted``/``failed`` counts, the machine's 1, 5 and 15 minute load
 averages before and after each run (``loadavg_start``/``loadavg_end``) and,
-per end-to-end metric, the median, quartiles and IQR/median of
-``perfbench/spread.py``'s ``summarise`` with every run's value.  Per metric
-there are the change/parent ratio of each pair and of the medians, the pairs
-the change won (by the metric's direction in ``BENCHMARK.json``), and
-``<metric>_gain_shown``: it won at least nine pairs in ten and its median
-moved the right way by more than the parent's interquartile range.  The record
+per end-to-end metric and per numeric extra value (``bench.trials_exact``,
+...), the median, quartiles and IQR/median of ``perfbench/spread.py``'s
+``summarise`` with every run's value.  Per end-to-end metric there are the
+change/parent ratio of each pair and of the medians, the pairs the change won
+(by the metric's direction in ``BENCHMARK.json``), and ``<metric>_gain_shown``:
+it won at least nine pairs in ten and its median moved the right way by more
+than the parent's interquartile range.  The record
 also holds one Tier-1 test suite wall time per side.  Each call writes a new
 ``--out``, replacing any file there, so every run in a record comes from the
 two trees that the record names.
+
+``--trace-pairs N`` then runs N more alternating pairs per workload with
+``--trace 1``, seeded as above.  Under ``trace1.<workload>`` each side has the
+same summary of its per-layer metrics (self time per call, counts) and extra
+values (``trace.closure``, ...), and per metric there are the change/parent
+ratio of each pair and of the medians (null where the parent reads 0).  One
+traced run's spread can be wider than a change, so these medians are what
+show where a gain comes from.
 """
 
 from __future__ import annotations
@@ -85,16 +94,18 @@ def snapshot(rev: str, dest: str) -> dict:
             "src_caadam_sha256": digest.hexdigest()}
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run: its result line plus the
-    environment line it printed."""
-    proc = subprocess.run(
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run: the record it writes under
+    ``.perfbench_out/<workload>/``, which is its result line plus its
+    ``extra`` values (``bench.trials_exact``, ``trace.closure``, ...) and the
+    environment."""
+    subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=20 * seconds + 600, check=True)
-    lines = proc.stdout.strip().splitlines()
-    env = next(line for line in lines if line.startswith("# environment "))
-    return {**json.loads(lines[-1]), "environment": json.loads(env.split(" ", 2)[2])}
+    path = os.path.join(checkout, ".perfbench_out", workload, f"result-trace{trace}.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def run_tier1(checkout: str) -> dict:
@@ -117,23 +128,54 @@ def side_summary(runs: list[dict]) -> dict:
         **{key: [r["environment"][key] for r in runs] for key in ("loadavg_start", "loadavg_end")},
         "metrics": {name: summarise([r["metrics"][name]["value"] for r in runs])
                     for name in runs[0]["metrics"]},
+        "extra": {name: summarise([r["extra"][name]["value"] for r in runs])
+                  for name, item in runs[0]["extra"].items()
+                  if isinstance(item["value"], (int, float))},
     }
 
 
-def compare(parent: dict, change: dict, better: dict[str, str], pairs: int) -> dict:
-    """Per metric: pair ratios, median ratio, pairs won and whether the gain
-    rule holds, keyed ``<metric>_<what>`` as in BENCH_3.json."""
+def _ratio(change: float, parent: float):
+    return change / parent if parent else None
+
+
+def ratios(parent: dict, change: dict) -> dict:
+    """Per metric: the change/parent ratio of each pair and of the medians,
+    keyed ``<metric>_pair_ratio`` and ``<metric>_median_ratio``."""
     out = {}
+    for name, p in parent["metrics"].items():
+        c = change["metrics"][name]
+        out[f"{name}_pair_ratio"] = [_ratio(cv, pv) for pv, cv in zip(p["values"], c["values"])]
+        out[f"{name}_median_ratio"] = _ratio(c["median"], p["median"])
+    return out
+
+
+def compare(parent: dict, change: dict, better: dict[str, str], pairs: int) -> dict:
+    """Per metric: the ``ratios``, pairs won and whether the gain rule holds,
+    keyed ``<metric>_<what>`` as in BENCH_3.json."""
+    out = ratios(parent, change)
     for name, p in parent["metrics"].items():
         c = change["metrics"][name]
         sign = 1.0 if better[name] == "higher" else -1.0
         won = sum(sign * (cv - pv) > 0 for pv, cv in zip(p["values"], c["values"]))
-        out[f"{name}_pair_ratio"] = [cv / pv for pv, cv in zip(p["values"], c["values"])]
-        out[f"{name}_median_ratio"] = c["median"] / p["median"]
         out[f"{name}_pairs_won"] = won
         out[f"{name}_gain_shown"] = (won >= 0.9 * pairs
                                      and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
     return out
+
+
+def run_pairs(checkouts: dict, workload: str, seeds: list[int], seconds: float,
+              trace: int) -> tuple[dict, list[str]]:
+    """One run per side and seed, back to back, the parent first in even
+    pairs; returns each side's runs and which side led each pair."""
+    runs = {"parent": [], "change": []}
+    first = ["parent" if i % 2 == 0 else "change" for i in range(len(seeds))]
+    for seed, lead in zip(seeds, first):
+        for side in (lead, "change" if lead == "parent" else "parent"):
+            res = run_once(checkouts[side], workload, seed, seconds, trace)
+            runs[side].append(res)
+            print(f"{workload} trace {trace} seed {seed} {side}: correct={res['correct']}",
+                  file=sys.stderr, flush=True)
+    return runs, first
 
 
 def main(argv=None) -> int:
@@ -145,10 +187,13 @@ def main(argv=None) -> int:
                         help="perfbench workload; repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11, help="seed of the first pair")
+    parser.add_argument("--trace-pairs", type=int, default=0,
+                        help="also run this many --trace 1 pairs per workload")
     parser.add_argument("--out", required=True, help="BENCH_*.json to write")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two runs)")
+    if args.pairs < 2 or args.trace_pairs == 1 or args.trace_pairs < 0:
+        parser.error("--pairs and a nonzero --trace-pairs must be at least 2 "
+                     "(quartiles need two runs)")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -162,8 +207,10 @@ def main(argv=None) -> int:
         record = {
             "what": (f"{args.change} (change) against its parent {sides['parent']['commit']}. "
                      f"Each pair runs perfbench/run.py --trace 0 --seconds {seconds:g} with the "
-                     "same --seed on both sides, back to back, alternating which runs first; "
-                     "written by scripts/bench_compare.py."),
+                     "same --seed on both sides, back to back, alternating which runs first"
+                     + (f"; then {args.trace_pairs} such pairs with --trace 1"
+                        if args.trace_pairs else "")
+                     + "; written by scripts/bench_compare.py."),
             "parent_commit": sides["parent"]["commit"],
             "sides": sides,
             "tier1": {},
@@ -172,23 +219,24 @@ def main(argv=None) -> int:
         for side, checkout in checkouts.items():
             print(f"tier-1 on {side} ...", file=sys.stderr, flush=True)
             record["tier1"][side] = run_tier1(checkout)
+        if args.trace_pairs:
+            record["trace1"] = {}
         for workload in args.workload:
-            runs = {"parent": [], "change": []}
             seeds = [args.seed + i for i in range(args.pairs)]
-            first = ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)]
-            for seed, lead in zip(seeds, first):
-                for side in (lead, "change" if lead == "parent" else "parent"):
-                    res = run_once(checkouts[side], workload, seed, seconds)
-                    runs[side].append(res)
-                    print(f"{workload} seed {seed} {side}: correct={res['correct']} "
-                          f"train_rows_per_s={res['metrics']['train_rows_per_s']['value']:.0f}",
-                          file=sys.stderr, flush=True)
+            runs, first = run_pairs(checkouts, workload, seeds, seconds, trace=0)
             summary = {side: side_summary(r) for side, r in runs.items()}
             record["machine"] = {k: v for k, v in runs["parent"][0]["environment"].items()
                                  if not k.startswith("loadavg")}
             record["trace0"][workload] = {
                 **summary, "seeds": seeds, "first_in_pair": first,
                 **compare(summary["parent"], summary["change"], better, args.pairs)}
+            if args.trace_pairs:
+                seeds = [args.seed + i for i in range(args.trace_pairs)]
+                runs, first = run_pairs(checkouts, workload, seeds, seconds, trace=1)
+                summary = {side: side_summary(r) for side, r in runs.items()}
+                record["trace1"][workload] = {
+                    **summary, "seeds": seeds, "first_in_pair": first,
+                    **ratios(summary["parent"], summary["change"])}
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1, sort_keys=True)
                 fh.write("\n")

@@ -307,12 +307,15 @@ def load_dataset(spec: dict) -> Dataset:
 
 
 def network_spec_for(dataset: Dataset, hidden_sizes) -> NetworkSpec:
-    """The network for ``dataset``.  A training workspace over all its rows is
-    a trial's largest array, so one past NumPy's array size is a config error."""
+    """The network for ``dataset``.  A trial's training workspace is its
+    largest array, so one past NumPy's array size is a config error.  The
+    check bounds it by one block over all the dataset's rows, more than any
+    batch size gives."""
     output_dim = dataset.n_classes if dataset.task == CLASSIFICATION else 1
     spec = NetworkSpec(dataset.n_features, tuple(hidden_sizes), output_dim,
                        output_head=dataset.task)
-    if sum(math.prod(s) for s in workspace_shapes(spec, dataset.n_samples)) > _MAX_ELEMENTS:
+    n = dataset.n_samples
+    if sum(math.prod(s) for s in workspace_shapes(spec, n, n)) > _MAX_ELEMENTS:
         raise ConfigError(f"architecture {list(hidden_sizes)} is too large for a NumPy "
                           f"array over {dataset.n_samples} rows")
     return spec
@@ -431,7 +434,34 @@ def _log_rows(path) -> list[list]:
 _WORKER_ARGS: list = []
 
 
-def _worker_init(*args):
+def _set_blas_threads(count: int) -> None:
+    """Give the OpenBLAS that NumPy bundles ``count`` threads.  Does nothing
+    when ``OPENBLAS_NUM_THREADS`` is set, or when the library or its
+    ``scipy_openblas_set_num_threads64_`` is missing."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    import ctypes  # only pool workers need it
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(os.path.normpath(libs),
+                                              "libscipy_openblas64_*.so"))):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(count)
+        return
+
+
+def _worker_init(workers: int, *args):
+    """Start a pool worker: its share of the usable cores as BLAS threads
+    (each OpenBLAS thread spins while it waits, so a full-width BLAS in
+    every worker oversubscribes the cores), then the trial arguments."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    _set_blas_threads(max(1, cores // workers))
     _WORKER_ARGS[:] = args
 
 
@@ -486,7 +516,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
             from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
             mapped = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init, initargs=initargs,
+                max_workers=workers, initializer=_worker_init,
+                initargs=(workers, *initargs),
             )).map(_worker_run, tasks)
         for res in mapped:
             results.append(res)

@@ -50,6 +50,8 @@ class Dataset:
             )
         if not np.isfinite(self.features).all():
             raise DataError("features contain non-finite values")
+        if not np.isfinite(self.targets).all():
+            raise DataError("targets contain non-finite values")
 
     @property
     def n_samples(self) -> int:
@@ -125,8 +127,6 @@ def load_csv(path, target: str, task: str = REGRESSION_TASK) -> Dataset:
         target_arr = y.astype(np.int64)
     else:
         target_arr = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
-        if not np.isfinite(target_arr).all():
-            raise DataError(f"{path}: non-finite target values")
     return Dataset(
         features=features,
         targets=target_arr,
@@ -174,7 +174,8 @@ def split_standardize(
 ) -> SplitDataset:
     """Seeded shuffle, contiguous train/validation/test partition of the
     ``split_sizes``, then feature standardization using train-split
-    statistics.  Regression targets are left in their original units.
+    statistics.  Regression targets are left in their original units.  A
+    feature whose train-split mean or spread overflows is a DataError.
     """
     n_train, n_val, _ = split_sizes(ds.n_samples, fractions)
     perm = make_rng(seed).permutation(ds.n_samples)
@@ -183,8 +184,13 @@ def split_standardize(
         _subset(ds, perm[n_train : n_train + n_val]),
         _subset(ds, perm[n_train + n_val :]),
     ]
-    mean = parts[0].features.mean(axis=0)
-    std = np.maximum(parts[0].features.std(axis=0), _STD_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = parts[0].features.mean(axis=0)
+        std = np.maximum(parts[0].features.std(axis=0), _STD_FLOOR)
+    bad = ~np.isfinite(std)
+    if bad.any():
+        raise DataError(f"the train-split spread of feature "
+                        f"{ds.feature_names[int(np.argmax(bad))]!r} overflows a float")
     for p in parts:
         p.features = (p.features - mean) / std
     return SplitDataset(*parts)

@@ -135,26 +135,42 @@ class GradientSet:
             self.flat, self.shapes, self.layers = _pack(self.layers)
 
 
-def workspace_shapes(spec: NetworkSpec, rows: int) -> list[tuple[int, ...]]:
-    """The views of a ``Workspace`` block for ``rows`` rows, in block order:
-    the output rows of every layer and the gradient vector."""
+# Row-block height of an evaluation over many rows: each block goes through
+# every layer while its hidden rows are still in cache.  Chosen from a sweep
+# of 64-2048 rows on the benchmark shapes (CHANGES.md): shorter blocks cost
+# more in per-call overhead than they save, taller ones leave the cache.
+BLOCK_ROWS = 512
+
+
+def workspace_shapes(spec: NetworkSpec, rows: int, block_rows: int) -> list[tuple[int, ...]]:
+    """The views of a ``Workspace`` buffer for ``rows`` rows in blocks of
+    ``block_rows``, in buffer order: one block of rows for every hidden
+    layer, all rows for the output layer, and the gradient vector."""
     params = sum((fan_in + 1) * fan_out for fan_in, fan_out in spec.layer_dims)
-    return [(rows, fan_out) for _, fan_out in spec.layer_dims] + [(params,)]
+    *hidden, (_, k) = spec.layer_dims
+    return [(block_rows, fan_out) for _, fan_out in hidden] + [(rows, k), (params,)]
 
 
 class Workspace:
     """Reused buffers for ``forward`` and ``backward`` on one network layout,
-    and the cache that ``forward`` returns: one float64 block of per-layer
-    output rows (up to ``rows``; a hidden layer's ReLU is applied in place)
-    and ``grads``, a GradientSet of views laid out as ``Network.flat``.  A
-    call on ``r`` rows uses the first ``r`` rows of each view and overwrites
-    what the last call wrote.  ``inputs`` (each layer's input) and ``output``
-    (the prediction) record the last forward pass; ``output`` is None once
-    ``backward`` has consumed it or ``forward`` raised."""
+    and the cache that ``forward`` returns: one float64 ``block`` holding the
+    output rows of every layer and ``grads``, a GradientSet of views laid
+    out as ``Network.flat``.  Each hidden layer has ``block_rows`` rows (all
+    ``rows`` by default, never more), with its ReLU applied in place; the
+    output layer has ``rows`` rows.  A call on up to ``block_rows`` rows uses
+    the first rows of each view; a call on more runs them in blocks of
+    ``block_rows``, each block through every layer, and writes each block's
+    prediction into its place in the output rows.  Every call overwrites
+    what the last one wrote.  ``inputs`` (each layer's input) and ``output``
+    (the prediction) record the last one-block forward pass; ``output`` is
+    None once ``backward`` has consumed it, after ``forward`` raised, and
+    after a forward over more than one block, whose hidden rows hold only
+    its last block."""
 
-    def __init__(self, net: Network, rows: int):
+    def __init__(self, net: Network, rows: int, block_rows: int | None = None):
         self.rows, self.shapes = rows, net.shapes
-        shapes = workspace_shapes(net.spec, rows)
+        self.block_rows = rows if block_rows is None else min(block_rows, rows)
+        shapes = workspace_shapes(net.spec, rows, self.block_rows)
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))
         *self.outputs, grad = split_views(self.block, shapes)
         self.grads = GradientSet(_pairs(split_views(grad, net.shapes)), grad, net.shapes)
@@ -176,7 +192,9 @@ def forward(net: Network, batch: Matrix,
             workspace: Workspace | None = None) -> tuple[Matrix, Workspace]:
     """Run the network on ``batch`` (rows are samples); returns the prediction,
     a view into ``workspace`` (or into a new one sized to the batch), and
-    that workspace as the cache for ``backward``."""
+    that workspace.  A batch of at most ``workspace.block_rows`` rows leaves
+    the workspace as the cache for ``backward``; a taller one runs in row
+    blocks and leaves no cache, so ``backward`` after it raises ValueError."""
     x = as_matrix(batch)
     if x.shape[1] != net.spec.input_dim:
         raise ShapeError(
@@ -187,21 +205,28 @@ def forward(net: Network, batch: Matrix,
     if ws.shapes != net.shapes or rows > ws.rows:
         raise ShapeError(f"workspace holds {ws.rows} rows of parameter shapes {ws.shapes}, "
                          f"not {rows} rows of {net.shapes}")
-    ws.inputs.clear()
     ws.output = None
-    h = x
+    step = ws.block_rows
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, ((w, b), out) in enumerate(zip(net.layers, ws.outputs)):
-            ws.inputs.append(h)
-            h = np.matmul(h, w, out=out[:rows])
-            h += b
-            if i < last:
-                np.maximum(h, 0.0, out=h)
-    if not np.isfinite(h).all():
+        for start in range(0, rows, step) if rows > step else (0,):
+            ws.inputs.clear()
+            h = x[start : start + step]
+            end = start + h.shape[0]
+            for i, ((w, b), out) in enumerate(zip(net.layers, ws.outputs)):
+                ws.inputs.append(h)
+                h = np.matmul(h, w, out=out[start:end] if i == last else out[: end - start])
+                h += b
+                if i < last:
+                    np.maximum(h, 0.0, out=h)
+    pred = ws.outputs[-1][:rows]
+    if not np.isfinite(pred).all():
         raise NonFiniteError("forward pass produced non-finite activations")
-    ws.output = h
-    return h, ws
+    if rows > step:
+        ws.inputs.clear()
+    else:
+        ws.output = pred
+    return pred, ws
 
 
 def softmax(logits: Matrix) -> Matrix:
@@ -265,7 +290,8 @@ def backward(net: Network, cache: Workspace, targets) -> GradientSet:
     logits = cache.output
     if logits is None:
         raise ValueError("this cache holds no forward pass: it was already consumed by "
-                         "backward, or forward raised; run forward again")
+                         "backward, forward raised, or forward ran over more than one row "
+                         "block; run forward again on at most block_rows rows")
     n, k = logits.shape
     if net.spec.output_head == REGRESSION:
         y = as_matrix(targets)

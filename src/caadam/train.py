@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset, SplitDataset
 from .errors import ConfigError, DataError, NonFiniteError
 from .linalg import make_rng
-from .nn import CLASSIFICATION, Network, Workspace, backward, forward, loss
+from .nn import BLOCK_ROWS, CLASSIFICATION, Network, Workspace, backward, forward, loss
 from .optim import Optimizer
 
 STOP_EARLY = "early_stop"
@@ -158,7 +158,10 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
                                  cfg.min_lr)
     rng = make_rng(cfg.seed)
     # Shared by every call below: each result is used before the next call.
-    workspace = Workspace(net, max(n, data.validation.n_samples))
+    # A training step is one block; an evaluation runs in blocks of that
+    # height, or of BLOCK_ROWS when the batch is smaller.
+    workspace = Workspace(net, max(n, data.validation.n_samples),
+                          max(cfg.batch_size, BLOCK_ROWS))
     log = TrainLog()
     started = time.monotonic()
 
@@ -203,7 +206,7 @@ def evaluate(net: Network, ds: Dataset) -> float:
     (argmax with lowest-index tie breaking)."""
     if ds.n_samples < 1:
         raise DataError("cannot evaluate on an empty dataset")
-    pred, _ = forward(net, ds.features)
+    pred, _ = forward(net, ds.features, Workspace(net, ds.n_samples, BLOCK_ROWS))
     if ds.task == CLASSIFICATION:
         picked = np.argmax(pred, axis=1)
         return float(np.mean(picked == np.asarray(ds.targets)))

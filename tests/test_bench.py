@@ -1,5 +1,7 @@
 """Benchmark grid, report statistics, persistence, and config parsing."""
 
+import ctypes
+import glob
 import json
 import math
 import os
@@ -30,6 +32,7 @@ from caadam.bench import (
     save_timings,
     save_trials,
     trial_setup,
+    _worker_init,
 )
 from caadam.data import DEFAULT_SPLIT, Dataset, synth_classification, synth_regression
 from caadam.errors import ConfigError, DataError
@@ -122,6 +125,39 @@ def test_run_experiment_pool_has_at_most_one_worker_per_trial(monkeypatch):
     assert _SerialPool.sizes == [6]  # 1 arch x 2 optimizers x 3 trials
     assert [replace(r, wall_time_s=0.0) for r in pooled] == \
         [replace(r, wall_time_s=0.0) for r in serial]
+
+
+def _openblas_get_threads():
+    """``scipy_openblas_get_num_threads64_`` of the OpenBLAS that NumPy
+    bundles, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+def _worker_blas_threads():
+    return _openblas_get_threads()()
+
+
+@pytest.mark.skipif(_openblas_get_threads() is None, reason="NumPy bundles no scipy-openblas")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_worker_gets_its_share_of_the_cores_as_blas_threads(monkeypatch, workers):
+    from concurrent.futures import ProcessPoolExecutor
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with ProcessPoolExecutor(1, initializer=_worker_init, initargs=(workers,)) as pool:
+        threads = pool.submit(_worker_blas_threads).result()
+    assert threads == max(1, len(os.sched_getaffinity(0)) // workers)
+
+
+def test_pool_worker_keeps_an_explicit_blas_thread_setting(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(ctypes, "CDLL", None)  # any attempt to load the library fails
+    _worker_init(10**6)
 
 
 def test_importing_caadam_leaves_the_process_pool_unloaded():
@@ -530,11 +566,13 @@ _FLOAT_FIELDS = {
        for kind in ("additive", "multiplicative")},
     "depth gamma": (lambda v: OptimizerConfig("caadam", scaling=ScalingStrategy("depth", gamma=v)),
                     -1.0, math.inf, "()"),
-    "noise_std": (lambda v: synth_regression(**_SMALL_DATA, noise_std=v), 0.0, math.inf, "[)"),
-    "scale": (lambda v: synth_regression(**_SMALL_DATA, scale=v), 0.0, math.inf, "()"),
-    # A spread near the float range overflows the features, which Dataset
-    # refuses; past 1e300 the test draws only 1e308, which does.
-    "spread": (lambda v: synth_classification(**_SMALL_DATA, spread=v), 0.0, 1e300, "[]"),
+    # A noise_std or scale near the float range overflows the targets, and a
+    # spread there the features, which Dataset refuses; a spread past ~1e154
+    # overflows its train-split spread, which split_standardize refuses.  Past
+    # each high end below the test draws only 1e308, which Dataset refuses.
+    "noise_std": (lambda v: synth_regression(**_SMALL_DATA, noise_std=v), 0.0, 1e300, "[]"),
+    "scale": (lambda v: synth_regression(**_SMALL_DATA, scale=v), 0.0, 1e300, "(]"),
+    "spread": (lambda v: synth_classification(**_SMALL_DATA, spread=v), 0.0, 1e150, "[]"),
 }
 # 1e-4 lies in every range above.
 _SPECIAL_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 1e-4)

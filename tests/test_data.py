@@ -293,6 +293,28 @@ def test_dataset_validation():
     with pytest.raises(DataError, match="non-finite"):
         Dataset(features=np.array([[np.nan, 0.0]]), targets=np.zeros((1, 1)),
                 task="regression", feature_names=["a", "b"])
+    with pytest.raises(DataError, match="targets contain non-finite"):
+        Dataset(features=np.zeros((1, 2)), targets=np.array([[np.inf]]),
+                task="regression", feature_names=["a", "b"])
     reg = synth_regression(n=4, m=2, seed=0)
     with pytest.raises(DataError, match="classification"):
         reg.n_classes
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the noise overflows on purpose
+def test_generated_or_read_targets_that_overflow_are_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="targets contain non-finite"):
+        synth_regression(200, 5, noise_std=1e308, seed=1)
+    path = tmp_path / "d.csv"
+    path.write_text("a,y\n1,2\n3,inf\n")
+    with pytest.raises(DataError, match="targets contain non-finite"):
+        load_csv(path, "y")
+
+
+def test_split_standardize_refuses_a_feature_whose_spread_overflows():
+    ds = synth_classification(200, 3, spread=1e200, seed=1)
+    with pytest.raises(DataError, match="spread of feature 'x0' overflows"):
+        split_standardize(ds)
+    ds.features[:, 0] = 0.0  # the next feature is named once the first is tame
+    with pytest.raises(DataError, match="feature 'x1'"):
+        split_standardize(ds)

@@ -265,6 +265,33 @@ def test_workspace_calls_match_one_call_workspaces_and_reuse_the_buffers(head):
         forward(init_network(NetworkSpec(4, (6,), classes, head), rng), x, ws)
 
 
+@pytest.mark.parametrize("head", [REGRESSION, CLASSIFICATION])
+def test_blocked_forward_matches_one_block_and_leaves_no_cache(head):
+    rng = make_rng(12)
+    classes = 3 if head == CLASSIFICATION else 1
+    net = init_network(NetworkSpec(4, (7, 5), classes, head), rng)
+    x = rng.normal(size=(23, 4))
+    y = rng.integers(0, classes, size=23) if head == CLASSIFICATION else rng.normal(size=(23, 1))
+    whole, _ = forward(net, x, Workspace(net, rows=23))
+    ws = Workspace(net, rows=23, block_rows=5)  # four blocks of 5 and a remainder of 3
+    assert ws.block_rows == 5
+    # hidden rows for one block, output rows for every row, one gradient vector
+    assert ws.block.size == 5 * (7 + 5) + 23 * classes + net.flat.size
+    pred, cache = forward(net, x, ws)
+    assert_array_equal(pred, whole)
+    assert np.shares_memory(pred, ws.block)
+    assert loss(pred, y, head) == loss(whole, y, head)
+    with pytest.raises(ValueError, match="more than one row block"):
+        backward(net, cache, y)
+    # a forward of at most one block is the cache for backward, as before
+    one, one_cache = forward(net, x[:5])
+    expected = backward(net, one_cache, y[:5]).flat
+    pred, cache = forward(net, x[:5], ws)
+    assert_array_equal(pred, one)
+    assert_array_equal(backward(net, cache, y[:5]).flat, expected)
+    assert Workspace(net, rows=3, block_rows=5).block_rows == 3  # never taller than rows
+
+
 def test_network_rejects_layers_that_do_not_match_its_spec():
     (w0, b0), (w1, b1) = hand_net().layers
     spec = NetworkSpec(2, (2,), 1)

@@ -6,6 +6,7 @@ classes and the reference never share code.
 """
 
 import csv
+import importlib
 import math
 
 import numpy as np
@@ -192,6 +193,30 @@ def test_train_is_deterministic():
     for (wa, ba), (wb, bb) in zip(net_a.layers, net_b.layers):
         assert_array_equal(wa, wb)
         assert_array_equal(ba, bb)
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_blocked_evaluation_gives_the_same_log_and_metric(monkeypatch, task):
+    if task == "regression":
+        ds, hidden = synth_regression(n=200, m=4, noise_std=0.2, seed=3), (8, 6)
+    else:
+        ds, hidden = synth_classification(n=200, m=4, classes=3, seed=3), (8,)
+    split = split_standardize(ds, seed=4)
+    output = 1 if task == "regression" else 3
+    cfg = TrainConfig(batch_size=16, max_epochs=12, seed=11)
+    runs = []
+    # train() blocks at max(batch_size, BLOCK_ROWS): 128 training rows in one
+    # block, then in blocks of 16 (the batch) and of 20 with a remainder of
+    # 8; evaluate() blocks the 40 test rows at BLOCK_ROWS, down to one row
+    for block in (10**9, 1, 20):
+        monkeypatch.setattr(importlib.import_module("caadam.train"), "BLOCK_ROWS", block)
+        net = init_network(NetworkSpec(4, hidden, output, task), make_rng(5))
+        net, log = train(net, make_optimizer(OptimizerConfig("adam"), net), split, cfg)
+        runs.append(([(r.epoch, r.train_loss, r.val_loss, r.lr) for r in log.records],
+                     log.stop_reason, net.flat.copy(), evaluate(net, split.test)))
+    for records, stop, flat, metric in runs[1:]:
+        assert records == runs[0][0] and stop == runs[0][1] and metric == runs[0][3]
+        assert_array_equal(flat, runs[0][2])
 
 
 def test_train_shuffle_seed_changes_trajectory():
