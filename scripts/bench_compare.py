@@ -18,10 +18,12 @@ sides see the same inputs and share any drift of the machine.
 The record keeps ``BENCH_3.json``'s layout.  Under ``trace0.<workload>`` each
 side (``parent`` is the base, ``change`` the change) has its per-run
 ``attempted``/``failed`` counts, the machine's 1, 5 and 15 minute load
-averages before and after each run (``loadavg_start``/``loadavg_end``) and,
-per end-to-end metric and per numeric extra value (``bench.trials_exact``,
-...), the median, quartiles and IQR/median of ``perfbench/spread.py``'s
-``summarise`` with every run's value.  Per end-to-end metric there are the
+averages before and after each run (``loadavg_start``/``loadavg_end``),
+``calibration_s`` (the time of a fixed one-thread BLAS loop, run in its own
+process just before each run, which shows the machine's speed per run)
+and, per end-to-end metric and per numeric extra value
+(``bench.trials_exact``, ...), the median, quartiles and IQR/median of
+``perfbench/spread.py``'s ``summarise`` with every run's value.  Per end-to-end metric there are the
 change/parent ratio of each pair and of the medians, the pairs the change won
 (by the metric's direction in ``BENCHMARK.json``), and ``<metric>_gain_shown``:
 it won at least nine pairs in ten and its median moved the right way by more
@@ -94,6 +96,28 @@ def snapshot(rev: str, dest: str) -> dict:
             "src_caadam_sha256": digest.hexdigest()}
 
 
+# 20000 products of two 64x64 float64 matrices, about 0.3 s on a 2-core
+# x86-64 VM: long enough that one preemption moves it little.
+CALIBRATION = """
+import time
+import numpy as np
+a = np.random.default_rng(0).random((64, 64))
+b = a.T.copy()
+started = time.perf_counter()
+for _ in range(20000):
+    a @ b
+print(time.perf_counter() - started)
+"""
+
+
+def calibrate() -> float:
+    """Seconds of the ``CALIBRATION`` loop, run with one OpenBLAS thread."""
+    proc = subprocess.run([sys.executable, "-c", CALIBRATION], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=600,
+                          check=True)
+    return float(proc.stdout)
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One ``perfbench/run.py`` run: the record it writes under
     ``.perfbench_out/<workload>/``, which is its result line plus its
@@ -126,6 +150,7 @@ def side_summary(runs: list[dict]) -> dict:
         "attempted": [r["attempted"] for r in runs],
         "failed": [r["failed"] for r in runs],
         **{key: [r["environment"][key] for r in runs] for key in ("loadavg_start", "loadavg_end")},
+        "calibration_s": summarise([r["calibration_s"] for r in runs]),
         "metrics": {name: summarise([r["metrics"][name]["value"] for r in runs])
                     for name in runs[0]["metrics"]},
         "extra": {name: summarise([r["extra"][name]["value"] for r in runs])
@@ -166,12 +191,15 @@ def compare(parent: dict, change: dict, better: dict[str, str], pairs: int) -> d
 def run_pairs(checkouts: dict, workload: str, seeds: list[int], seconds: float,
               trace: int) -> tuple[dict, list[str]]:
     """One run per side and seed, back to back, the parent first in even
-    pairs; returns each side's runs and which side led each pair."""
+    pairs, each after its ``calibrate``; returns each side's runs and which
+    side led each pair."""
     runs = {"parent": [], "change": []}
     first = ["parent" if i % 2 == 0 else "change" for i in range(len(seeds))]
     for seed, lead in zip(seeds, first):
         for side in (lead, "change" if lead == "parent" else "parent"):
-            res = run_once(checkouts[side], workload, seed, seconds, trace)
+            calibration_s = calibrate()
+            res = {**run_once(checkouts[side], workload, seed, seconds, trace),
+                   "calibration_s": calibration_s}
             runs[side].append(res)
             print(f"{workload} trace {trace} seed {seed} {side}: correct={res['correct']}",
                   file=sys.stderr, flush=True)

@@ -14,6 +14,7 @@ across identically configured runs; wall-clock timings go to a separate
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -256,50 +257,40 @@ def experiment_from_dict(payload: dict) -> ExperimentConfig:
 _MAX_ELEMENTS = np.iinfo(np.intp).max // 8
 
 
-def _synth_ints(spec: dict, **defaults) -> dict:
-    """Pop the integer options named in ``defaults`` from ``spec``; n or
-    classes rows of m floats past NumPy's array size is a config error."""
-    out = {key: _checked(spec.pop(key, value), _INT, key) for key, value in defaults.items()}
-    if max(out["n"], out.get("classes", 0)) * out["m"] > _MAX_ELEMENTS:
-        raise ConfigError(f"dataset sizes {out} are too large for a NumPy array")
-    return out
+# The parser of a dataset option by its builder parameter's annotation.
+_OPTION_PARSERS = {int: partial(_checked, kinds=_INT), float: _number,
+                   str: partial(_checked, kinds=_STR)}
 
 
 def load_dataset(spec: dict) -> Dataset:
-    """Build the experiment dataset from its config mapping; every option is
-    checked before any data is generated or read."""
+    """Build the experiment dataset from its config mapping.  A kind's options
+    are its builder's parameters: each is checked to be the JSON kind of its
+    annotation, a missing one takes the builder's default, and one without a
+    default is required.  Every option is checked before any data is
+    generated or read."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
-    if kind == "benchmark_regression":
-        build, args = benchmark_regression, {}
-    elif kind == "synth_regression":
-        build, args = synth_regression, dict(
-            **_synth_ints(spec, n=2000, m=8, seed=0),
-            noise_std=_number(spec.pop("noise_std", 0.0), "noise_std"),
-            scale=_number(spec.pop("scale", 1.0), "scale"),
-        )
-    elif kind == "synth_classification":
-        build, args = synth_classification, dict(
-            **_synth_ints(spec, n=2000, m=8, classes=3, seed=0),
-            spread=_number(spec.pop("spread", 1.0), "spread"),
-        )
-    elif kind == "csv":
-        try:
-            args = {key: _checked(spec.pop(key), _STR, key) for key in ("path", "target")}
-        except KeyError as exc:
-            raise ConfigError(f"csv dataset needs a {exc.args[0]!r} option") from exc
-        args["task"] = _checked(spec.pop("task", REGRESSION), _STR, "task")
-        if args["task"] not in (REGRESSION, CLASSIFICATION):
-            raise ConfigError(f"csv task must be {REGRESSION!r} or {CLASSIFICATION!r}, "
-                              f"got {args['task']!r}")
-        build = load_csv
-    else:
+    # Looked up at each call, so a builder patched on this module is the one called.
+    builders = {"benchmark_regression": benchmark_regression, "synth_regression": synth_regression,
+                "synth_classification": synth_classification, "csv": load_csv}
+    if kind not in builders:
         raise ConfigError(f"unknown dataset kind {kind!r}")
-    if spec:
-        raise ConfigError(
-            f"unknown dataset option(s) for kind {kind!r}: {sorted(spec)}"
-        )
-    return build(**args)
+    params = inspect.signature(builders[kind], eval_str=True).parameters
+    unknown = spec.keys() - params.keys()
+    if unknown:
+        raise ConfigError(f"unknown dataset option(s) for kind {kind!r}: {sorted(unknown)}")
+    args = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    missing = params.keys() - args.keys() - spec.keys()
+    if missing:
+        raise ConfigError(f"{kind} dataset needs option(s) {sorted(missing)}")
+    args |= {name: _OPTION_PARSERS[params[name].annotation](value, what=name)
+             for name, value in spec.items()}
+    if max(args.get("n", 0), args.get("classes", 0)) * args.get("m", 0) > _MAX_ELEMENTS:
+        raise ConfigError(f"dataset sizes {args} are too large for a NumPy array")
+    if args.get("task", REGRESSION) not in (REGRESSION, CLASSIFICATION):
+        raise ConfigError(f"dataset task must be {REGRESSION!r} or {CLASSIFICATION!r}, "
+                          f"got {args['task']!r}")
+    return builders[kind](**args)
 
 
 # ---------------------------------------------------------------------------

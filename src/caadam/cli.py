@@ -39,9 +39,18 @@ def _out_dir(path) -> str:
     return path
 
 
+def _checked_dataset(cfg) -> bench.Dataset:
+    """``bench.checked_dataset(cfg)`` after the setup of the grid's first
+    trial, its split included, has run on it: a config or data error of
+    either comes before any output."""
+    dataset = bench.checked_dataset(cfg)
+    bench.trial_setup(dataset, cfg.architectures[0], cfg.split, cfg.base_seed)
+    return dataset
+
+
 def _cmd_train(args) -> int:
     cfg = bench.experiment_from_dict(bench.read_json(args.config, "config"))
-    dataset = bench.checked_dataset(cfg)  # a config or data error before any output
+    dataset = _checked_dataset(cfg)
     _out_dir(args.out)
     res = bench.run_trial(dataset, cfg.architectures[0],
                           cfg.optimizers[0], cfg.train, cfg.split, cfg.base_seed,
@@ -81,7 +90,7 @@ def _cmd_benchmark(args) -> int:
     if args.baseline not in labels:
         raise ConfigError(f"baseline {args.baseline!r} is not an optimizer label "
                           f"of the config {labels}")
-    dataset = bench.checked_dataset(cfg)  # a config error before any output
+    dataset = _checked_dataset(cfg)
     log_dir = _out_dir(os.path.join(_out_dir(args.out), "logs"))
 
     done = {"n": 0}

@@ -75,7 +75,7 @@ class SplitDataset:
     test: Dataset
 
 
-def load_csv(path, target: str, task: str = REGRESSION_TASK) -> Dataset:
+def load_csv(path: str, target: str, task: str = REGRESSION_TASK) -> Dataset:
     """Parse a CSV with a header row into a Dataset.
 
     ``target`` names the target column; every other column is a feature.
@@ -223,7 +223,7 @@ def synth_regression_surface(features: Matrix) -> np.ndarray:
 
 
 def synth_regression(
-    n: int, m: int, noise_std: float = 0.0, seed: int = 0, scale: float = 1.0
+    n: int = 2000, m: int = 8, noise_std: float = 0.0, seed: int = 0, scale: float = 1.0
 ) -> Dataset:
     """Synthetic regression set: uniform features on [0, 1], target from
     :func:`synth_regression_surface` times ``scale``, plus Gaussian noise.
@@ -279,7 +279,7 @@ def benchmark_regression() -> Dataset:
 
 
 def synth_classification(
-    n: int, m: int, classes: int = 3, spread: float = 1.0, seed: int = 0
+    n: int = 2000, m: int = 8, classes: int = 3, spread: float = 1.0, seed: int = 0
 ) -> Dataset:
     """Gaussian blobs: class centers uniform on [-3, 3]^m, unit-``spread``
     noise around each center, labels drawn uniformly."""

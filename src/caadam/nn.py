@@ -161,11 +161,11 @@ class Workspace:
     the first rows of each view; a call on more runs them in blocks of
     ``block_rows``, each block through every layer, and writes each block's
     prediction into its place in the output rows.  Every call overwrites
-    what the last one wrote.  ``inputs`` (each layer's input) and ``output``
-    (the prediction) record the last one-block forward pass; ``output`` is
-    None once ``backward`` has consumed it, after ``forward`` raised, and
-    after a forward over more than one block, whose hidden rows hold only
-    its last block."""
+    what the last one wrote.  ``batch`` is the input of the last one-block
+    forward pass, whose layer outputs are the first rows of ``outputs``; it
+    is None once ``backward`` has consumed that pass, after ``forward``
+    raised, and after a forward over more than one block, whose hidden rows
+    hold only its last block."""
 
     def __init__(self, net: Network, rows: int, block_rows: int | None = None):
         self.rows, self.shapes = rows, net.shapes
@@ -174,8 +174,7 @@ class Workspace:
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))
         *self.outputs, grad = split_views(self.block, shapes)
         self.grads = GradientSet(_pairs(split_views(grad, net.shapes)), grad, net.shapes)
-        self.inputs: list[Matrix] = []
-        self.output: Matrix | None = None
+        self.batch: Matrix | None = None
 
 
 def init_network(spec: NetworkSpec, rng: np.random.Generator) -> Network:
@@ -205,16 +204,14 @@ def forward(net: Network, batch: Matrix,
     if ws.shapes != net.shapes or rows > ws.rows:
         raise ShapeError(f"workspace holds {ws.rows} rows of parameter shapes {ws.shapes}, "
                          f"not {rows} rows of {net.shapes}")
-    ws.output = None
+    ws.batch = None
     step = ws.block_rows
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, rows, step) if rows > step else (0,):
-            ws.inputs.clear()
             h = x[start : start + step]
             end = start + h.shape[0]
             for i, ((w, b), out) in enumerate(zip(net.layers, ws.outputs)):
-                ws.inputs.append(h)
                 h = np.matmul(h, w, out=out[start:end] if i == last else out[: end - start])
                 h += b
                 if i < last:
@@ -222,10 +219,8 @@ def forward(net: Network, batch: Matrix,
     pred = ws.outputs[-1][:rows]
     if not np.isfinite(pred).all():
         raise NonFiniteError("forward pass produced non-finite activations")
-    if rows > step:
-        ws.inputs.clear()
-    else:
-        ws.output = pred
+    if rows <= step:
+        ws.batch = x
     return pred, ws
 
 
@@ -287,12 +282,13 @@ def backward(net: Network, cache: Workspace, targets) -> GradientSet:
     """
     if cache.shapes != net.shapes:
         raise ShapeError(f"cache holds parameter shapes {cache.shapes}, not {net.shapes}")
-    logits = cache.output
-    if logits is None:
+    x = cache.batch
+    if x is None:
         raise ValueError("this cache holds no forward pass: it was already consumed by "
                          "backward, forward raised, or forward ran over more than one row "
                          "block; run forward again on at most block_rows rows")
-    n, k = logits.shape
+    n = x.shape[0]
+    logits = cache.outputs[-1][:n]
     if net.spec.output_head == REGRESSION:
         y = as_matrix(targets)
         if y.shape != logits.shape:
@@ -301,17 +297,17 @@ def backward(net: Network, cache: Workspace, targets) -> GradientSet:
         dz *= 2.0
         dz /= logits.size
     else:
-        idx = _class_indices(targets, n, k)
+        idx = _class_indices(targets, n, logits.shape[1])
         dz = softmax(logits)
         dz[np.arange(n), idx] -= 1.0
         dz /= n
 
-    cache.output = None
+    cache.batch = None
     grads = cache.grads
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(net.layers) - 1, -1, -1):
             dw, db = grads.layers[i]
-            rows = cache.inputs[i]
+            rows = cache.outputs[i - 1][:n] if i > 0 else x
             np.matmul(rows.T, dz, out=dw)
             dz.sum(axis=0, out=db)
             if i > 0:

@@ -175,8 +175,6 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
                 optimizer.step(net, grads, lr=scheduler.lr)
             train_loss = _mean_loss(net, data.train, workspace)
             val_loss = _mean_loss(net, data.validation, workspace)
-            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-                raise NonFiniteError(f"non-finite loss at epoch {epoch}")
         except NonFiniteError:
             log.stop_reason = STOP_DIVERGED
             break

@@ -1,7 +1,9 @@
 """Benchmark grid, report statistics, persistence, and config parsing."""
 
 import ctypes
+import functools
 import glob
+import inspect
 import json
 import math
 import os
@@ -34,7 +36,13 @@ from caadam.bench import (
     trial_setup,
     _worker_init,
 )
-from caadam.data import DEFAULT_SPLIT, Dataset, synth_classification, synth_regression
+from caadam.data import (
+    DEFAULT_SPLIT,
+    Dataset,
+    benchmark_regression,
+    synth_classification,
+    synth_regression,
+)
 from caadam.errors import ConfigError, DataError
 from caadam.nn import CLASSIFICATION, REGRESSION
 from caadam.optim import OptimizerConfig
@@ -636,6 +644,45 @@ def test_load_dataset_kinds_and_errors():
         load_dataset({"kind": "synth_regression", "rows": 10})
     with pytest.raises(ConfigError, match="unknown dataset option"):
         load_dataset({"kind": "benchmark_regression", "seed": 1})
+
+
+# A value of the wrong JSON kind for each builder annotation.
+_WRONG_KIND = {int: "1", float: "1.0", str: 1}
+
+
+@pytest.mark.parametrize("kind, build", [
+    ("benchmark_regression", benchmark_regression),
+    ("synth_regression", synth_regression),
+    ("synth_classification", synth_classification),
+])
+def test_generated_kind_options_are_its_builders_parameters(kind, build):
+    params = inspect.signature(build, eval_str=True).parameters
+    expected = build()
+    # no option, or every option at its default, is the builder called with no arguments
+    for spec in ({"kind": kind}, {"kind": kind, **{n: p.default for n, p in params.items()}}):
+        ds = load_dataset(spec)
+        assert_array_equal(ds.features, expected.features)
+        assert_array_equal(ds.targets, expected.targets)
+        assert (ds.task, ds.feature_names) == (expected.task, expected.feature_names)
+    for name, param in params.items():
+        with pytest.raises(ConfigError, match=f"{name} must be"):
+            load_dataset({"kind": kind, name: _WRONG_KIND[param.annotation]})
+    with pytest.raises(ConfigError, match="unknown dataset option"):
+        load_dataset({"kind": kind, "rows": 10})
+
+
+def test_load_dataset_calls_the_builder_bound_in_bench_at_call_time(monkeypatch):
+    # as a tracer patches it: a wrapper that keeps the builder's signature
+    calls = []
+
+    @functools.wraps(synth_classification)
+    def wrapped(**kwargs):
+        calls.append(kwargs)
+        return synth_classification(**kwargs)
+
+    monkeypatch.setattr("caadam.bench.synth_classification", wrapped)
+    load_dataset({"kind": "synth_classification", "n": 30})
+    assert [c["n"] for c in calls] == [30]
 
 
 def test_load_dataset_csv_kind(tmp_path):

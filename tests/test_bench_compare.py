@@ -1,6 +1,7 @@
 """The gain rule of ``scripts/bench_compare.py``: which pairs a change wins,
 and when a BENCH record says ``<metric>_gain_shown``; what a side's record
-keeps of each run; and what ``--trace-pairs`` adds to a record."""
+keeps of each run, its calibration time included; and what ``--trace-pairs``
+adds to a record."""
 
 import importlib.util
 import json
@@ -73,7 +74,7 @@ def test_nine_wins_with_the_median_moved_past_the_iqr_is_a_shown_gain():
 
 
 def test_side_summary_keeps_each_runs_load_averages_in_run_order():
-    runs = [{"correct": True, "attempted": 3, "failed": 0,
+    runs = [{"correct": True, "attempted": 3, "failed": 0, "calibration_s": 3.0 - i,
              "metrics": {"wall_s": {"value": 10.0 + i}},
              "extra": {"bench.trials_exact": {"value": 3 - i}, "unit_walls": {"value": [1.0]}},
              "environment": {"loadavg_start": [float(i), 0.5, 0.25],
@@ -83,6 +84,8 @@ def test_side_summary_keeps_each_runs_load_averages_in_run_order():
     assert summary["loadavg_start"] == [[0.0, 0.5, 0.25], [1.0, 0.5, 0.25], [2.0, 0.5, 0.25]]
     assert summary["loadavg_end"] == [[0.5, 0.5, 0.25], [1.5, 0.5, 0.25], [2.5, 0.5, 0.25]]
     assert summary["attempted"] == [3, 3, 3]
+    assert summary["calibration_s"]["values"] == [3.0, 2.0, 1.0]
+    assert summary["calibration_s"]["median"] == 2.0
     assert summary["metrics"]["wall_s"]["values"] == [10.0, 11.0, 12.0]
     # every numeric extra value is summarised too, run by run; a list is not
     assert summary["extra"]["bench.trials_exact"]["values"] == [3, 2, 1]
@@ -119,6 +122,8 @@ def test_trace_pairs_record_each_sides_per_layer_summary_and_the_pair_ratios(
     monkeypatch.setattr(bench_compare, "snapshot", lambda rev, dest: {"commit": rev})
     monkeypatch.setattr(bench_compare, "run_tier1", lambda checkout: {})
     monkeypatch.setattr(bench_compare, "run_once", fake_run_once)
+    timed = iter(range(1, 100))
+    monkeypatch.setattr(bench_compare, "calibrate", lambda: next(timed) / 10)
     out = tmp_path / "BENCH.json"
     assert bench_compare.main(["--base", "a", "--change", "b", "--workload", "w",
                                "--pairs", "2", "--trace-pairs", "3", "--seed", "1",
@@ -140,3 +145,22 @@ def test_trace_pairs_record_each_sides_per_layer_summary_and_the_pair_ratios(
     assert traced["change"]["extra"]["trace.closure"]["values"] == [4, 4, 4]
     assert record["trace0"]["w"]["wall_s_pairs_won"] == 2
     assert record["trace0"]["w"]["parent"]["extra"]["bench.trials_exact"]["median"] == 4
+    # one calibration just before each run, kept with that run's side
+    assert record["trace0"]["w"]["parent"]["calibration_s"]["values"] == [0.1, 0.4]
+    assert record["trace0"]["w"]["change"]["calibration_s"]["values"] == [0.2, 0.3]
+    assert traced["change"]["calibration_s"]["values"] == [0.6, 0.7, 1.0]
+
+
+def test_calibrate_times_the_loop_in_a_one_blas_thread_process(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    runs = []
+    real_run = bench_compare.subprocess.run
+
+    def run(argv, **kwargs):
+        runs.append(kwargs["env"]["OPENBLAS_NUM_THREADS"])
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(bench_compare.subprocess, "run", run)
+    seconds = bench_compare.calibrate()
+    assert runs == ["1"]
+    assert 0.0 < seconds < 60.0

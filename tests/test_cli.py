@@ -473,6 +473,8 @@ def test_missing_csv_file_is_data_error(tmp_path, capsys):
     ({"dataset": {"kind": "synth_regression", "n": 3}}, EXIT_DATA),  # an empty partition
     ({"dataset": {"kind": "synth_classification", "spread": -1.0}}, EXIT_DATA),
     ({"dataset": {"kind": "synth_regression", "noise_std": 1e308}}, EXIT_DATA),  # inf targets
+    # finite features whose train-split spread overflows in the first trial's split
+    ({"dataset": {"kind": "synth_classification", "spread": 1e200}}, EXIT_DATA),
 ])
 def test_failed_dataset_or_architecture_check_leaves_no_output(tmp_path, monkeypatch,
                                                                command, change, code):

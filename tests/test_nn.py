@@ -44,7 +44,8 @@ def test_forward_hand_case():
     pred, cache = forward(net, np.array([[1.0, 2.0]]))
     assert pred.shape == (1, 1)
     assert pred[0, 0] == 5.75
-    assert_array_equal(cache.inputs[1], [[5.5, 0.0]])  # relu clipped the -1
+    assert_array_equal(cache.batch, [[1.0, 2.0]])
+    assert_array_equal(cache.outputs[0], [[5.5, 0.0]])  # relu clipped the -1
 
 
 def test_forward_rejects_wrong_feature_count():
