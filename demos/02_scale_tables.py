@@ -13,6 +13,8 @@ so you can see what each strategy emphasizes:
                  last layer always sits at exactly 1
 """
 
+import statistics
+
 from caadam.arch import summarize
 from caadam.linalg import make_rng
 from caadam.nn import NetworkSpec, init_network
@@ -30,8 +32,8 @@ def show(input_dim, hidden, output_dim):
     arrow = " -> ".join(str(d) for d in dims)
     print(f"architecture {arrow}")
     print(f"  connection counts per layer: {counts}")
-    print(f"  min {summary.c_min}, median {summary.c_median}, "
-          f"max {summary.c_max}\n")
+    print(f"  min {min(counts)}, median {float(statistics.median(counts))}, "
+          f"max {max(counts)}\n")
 
     tables = {
         kind: compute_scale_table(ScalingStrategy(kind, gamma=GAMMA), summary)

@@ -27,8 +27,10 @@ and, per end-to-end metric and per numeric extra value
 change/parent ratio of each pair and of the medians, the pairs the change won
 (by the metric's direction in ``BENCHMARK.json``), and ``<metric>_gain_shown``:
 it won at least nine pairs in ten and its median moved the right way by more
-than the parent's interquartile range.  The record
-also holds one Tier-1 test suite wall time per side.  Each call writes a new
+than the parent's interquartile range.  Under ``tier1`` the record holds
+three Tier-1 test suite runs per side, alternating which side runs first:
+per side the command, each run's wall time, exit code and summary line, and
+the ``summarise`` of the wall times (``wall_s``).  Each call writes a new
 ``--out``, replacing any file there, so every run in a record comes from the
 two trees that the record names.
 
@@ -63,6 +65,7 @@ from spread import summarise  # noqa: E402
 WORKTREE = "WORKTREE"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
+TIER1_RUNS = 3
 
 
 def _git(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -133,15 +136,28 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
 
 
 def run_tier1(checkout: str) -> dict:
+    """One Tier-1 run in ``checkout``: its wall time, exit code and summary line."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (os.path.join(checkout, "src"), os.environ.get("PYTHONPATH")) if p)}
     started = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=3600)
     wall = time.perf_counter() - started
-    return {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
-            "wall_s": wall, "exit_code": proc.returncode,
+    return {"wall_s": wall, "exit_code": proc.returncode,
             "summary": proc.stdout.strip().splitlines()[-1]}
+
+
+def tier1_record(checkouts: dict) -> dict:
+    """``TIER1_RUNS`` Tier-1 runs per side, the parent first in even rounds;
+    per side the command, each run and the ``summarise`` of the wall times."""
+    runs = {"parent": [], "change": []}
+    for i in range(TIER1_RUNS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            print(f"tier-1 run {i + 1} on {side} ...", file=sys.stderr, flush=True)
+            runs[side].append(run_tier1(checkouts[side]))
+    return {side: {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
+                   "runs": r, "wall_s": summarise([run["wall_s"] for run in r])}
+            for side, r in runs.items()}
 
 
 def side_summary(runs: list[dict]) -> dict:
@@ -241,12 +257,9 @@ def main(argv=None) -> int:
                      + "; written by scripts/bench_compare.py."),
             "parent_commit": sides["parent"]["commit"],
             "sides": sides,
-            "tier1": {},
+            "tier1": tier1_record(checkouts),
             "trace0": {},
         }
-        for side, checkout in checkouts.items():
-            print(f"tier-1 on {side} ...", file=sys.stderr, flush=True)
-            record["tier1"][side] = run_tier1(checkout)
         if args.trace_pairs:
             record["trace1"] = {}
         for workload in args.workload:

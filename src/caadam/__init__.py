@@ -15,7 +15,7 @@ The short version:
 >>> rmse = ca.evaluate(net, split.test)
 """
 
-from .arch import ArchitectureSummary, LayerInfo, median_of, summarize
+from .arch import ArchitectureSummary, summarize
 from .bench import (
     CellStats,
     ComparisonReport,
@@ -88,7 +88,6 @@ from .optim import (
     Sgd,
     from_checkpoint,
     load_checkpoint,
-    make_caadam,
     make_optimizer,
     save_checkpoint,
 )
@@ -101,9 +100,6 @@ from .scaling import (
     ScaleTable,
     ScalingStrategy,
     compute_scale_table,
-    scale_additive,
-    scale_depth,
-    scale_multiplicative,
 )
 from .stats import (
     WelchResult,

@@ -2,8 +2,8 @@
 
 A layer's connection count is the number of weight edges between two neuron
 layers (fan_in * fan_out); biases are not inter-neuron connections and are
-excluded.  Depth is the zero-based position of a trainable layer in forward
-order, and the summary's total depth is the number of trainable layers.
+excluded.  The counts are in forward order, so a layer's position in them is
+its zero-based depth.
 """
 
 from __future__ import annotations
@@ -15,46 +15,17 @@ from .nn import Network
 
 
 @dataclass(frozen=True)
-class LayerInfo:
-    index: int  # zero-based depth among trainable layers
-    connections: int  # fan_in * fan_out, biases excluded
-
-
-@dataclass(frozen=True)
 class ArchitectureSummary:
-    layers: tuple[LayerInfo, ...]
-    c_min: int
-    c_max: int
-    c_median: float
-    total_depth: int
+    counts: tuple[int, ...]  # connection count per trainable layer, in forward order
+
+    def __post_init__(self):
+        if not self.counts:
+            raise StructureError("network has no trainable layers")
 
     def connection_counts(self) -> list[int]:
-        return [info.connections for info in self.layers]
-
-
-def median_of(values: list[int]) -> float:
-    """Middle value for odd-length lists, mean of the two middle for even."""
-    s = sorted(values)
-    n = len(s)
-    mid = n // 2
-    if n % 2 == 1:
-        return float(s[mid])
-    return (s[mid - 1] + s[mid]) / 2.0
+        return list(self.counts)
 
 
 def summarize(net: Network) -> ArchitectureSummary:
-    """Connection counts, depths, and min/median/max statistics of ``net``."""
-    if not net.layers:
-        raise StructureError("network has no trainable layers")
-    infos = tuple(
-        LayerInfo(index=i, connections=w.shape[0] * w.shape[1])
-        for i, (w, _) in enumerate(net.layers)
-    )
-    counts = [info.connections for info in infos]
-    return ArchitectureSummary(
-        layers=infos,
-        c_min=min(counts),
-        c_max=max(counts),
-        c_median=median_of(counts),
-        total_depth=len(infos),
-    )
+    """The connection count of each trainable layer of ``net``."""
+    return ArchitectureSummary(tuple(w.shape[0] * w.shape[1] for w, _ in net.layers))

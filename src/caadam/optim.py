@@ -37,10 +37,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 import numpy as np
 
-from .arch import ArchitectureSummary, summarize
+from .arch import summarize
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .nn import GradientSet, Network, check_shapes, split_views
 from .scaling import ScaleTable, ScalingStrategy, compute_scale_table
@@ -168,17 +169,6 @@ class Optimizer:
                 {name: arr.tolist() for name, arr in slot.items()} for slot in self._slots
             ],
         }
-
-    def _restore_slots(self, payload: dict) -> None:
-        self.t = payload["t"]
-        slots = payload["slots"]
-        names = list(slots[0]) if slots else []
-        if names:
-            self._set_state(
-                tuple(np.shape(slot[names[0]]) for slot in slots),
-                {name: np.concatenate([np.asarray(slot[name], dtype=np.float64).ravel()
-                                       for slot in slots])
-                 for name in names})
 
 
 def _blend(acc, keep: float, take: float, x, s) -> None:
@@ -342,44 +332,70 @@ _REGISTRY: dict[str, type[Optimizer]] = {
 ALGORITHMS = tuple(sorted(_REGISTRY))
 
 
-def make_caadam(config: OptimizerConfig, summary: ArchitectureSummary) -> CaAdam:
-    """CaAdam with its scale table precomputed from the architecture summary."""
+def make_optimizer(config: OptimizerConfig, net: Network | None = None) -> Optimizer:
+    """Instantiate the optimizer named by ``config.algorithm``; ``caadam``
+    derives its scale table from ``net``, which every other algorithm ignores."""
+    if config.algorithm != "caadam":
+        return _REGISTRY[config.algorithm](config)
+    if net is None:
+        raise ConfigError("caadam needs the network to derive its scale table")
     if config.scaling is None:
         raise ConfigError("caadam requires config.scaling to be set")
-    return CaAdam(config, compute_scale_table(config.scaling, summary))
+    return CaAdam(config, compute_scale_table(config.scaling, summarize(net)))
 
 
-def make_optimizer(config: OptimizerConfig, net: Network | None = None) -> Optimizer:
-    """Instantiate the optimizer named by ``config.algorithm``.
+def _built(cls, entries, **given):
+    """``cls(**entries, **given)`` for a checkpoint mapping ``entries`` whose values are
+    of their ``cls`` fields' annotated kinds (an int passes for a float, a bool for none)."""
+    if not isinstance(entries, dict):
+        raise ConfigError(f"checkpoint {cls.__name__} must be a mapping, got {entries!r}")
+    hints, entries = get_type_hints(cls), {**entries, **given}
+    for key, value in entries.items():
+        kind = (int, float) if hints.get(key) is float else hints.get(key, ())
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"checkpoint {cls.__name__} has a bad entry {key!r}: {value!r}")
+    try:
+        return cls(**entries)
+    except TypeError as exc:  # a field without a default is missing
+        raise ConfigError(f"checkpoint {cls.__name__}: {exc}") from None
 
-    ``caadam`` derives its scale table from ``net``, which must be given;
-    every other algorithm ignores it.
-    """
-    if config.algorithm == "caadam":
-        if net is None:
-            raise ConfigError("caadam needs the network to derive its scale table")
-        return make_caadam(config, summarize(net))
-    return _REGISTRY[config.algorithm](config)
 
-
-def _config_from_checkpoint(payload: dict) -> OptimizerConfig:
-    cfg = dict(payload["config"])
-    scaling = cfg.pop("scaling", None)
-    if scaling is not None:
-        scaling = ScalingStrategy(**scaling)
-    return OptimizerConfig(algorithm=payload["algorithm"], scaling=scaling, **cfg)
+def _check_finite(slots: list, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first non-finite accumulator of ``slots``."""
+    for i, slot in enumerate(slots):
+        for name, values in slot.items():
+            if not np.isfinite(values).all():
+                raise error(f"checkpoint slot {name!r} of tensor {i} is not finite")
 
 
 def from_checkpoint(payload: dict) -> Optimizer:
-    """Rebuild an optimizer (with its state) from a checkpoint dict."""
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {payload.get('version')!r}")
-    config = _config_from_checkpoint(payload)
-    if payload["algorithm"] == "caadam":
-        opt = CaAdam(config, ScaleTable(tuple(payload["scale_table"])))
-    else:
-        opt = _REGISTRY[payload["algorithm"]](config)
-    opt._restore_slots(payload)
+    """Rebuild an optimizer (with its state) from a checkpoint dict.  A payload
+    without the version 1 layout is a ConfigError, raised before anything is built."""
+    if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(f"a checkpoint must be a mapping of version {CHECKPOINT_VERSION}")
+    t, cfg, slots = payload.get("t"), payload.get("config"), payload.get("slots")
+    if type(t) is not int or t < 0:  # a bool is an int too
+        raise ConfigError(f"checkpoint step 't' must be an integer >= 0, got {t!r}")
+    scaling = cfg.get("scaling") if isinstance(cfg, dict) else None
+    config = _built(OptimizerConfig, cfg, algorithm=payload.get("algorithm"),
+                    scaling=None if scaling is None else _built(ScalingStrategy, scaling))
+    cls = _REGISTRY[config.algorithm]
+    names = cls.slot_names
+    if type(slots) is not list or any(type(s) is not dict or s.keys() != set(names) for s in slots):
+        raise ConfigError(f"checkpoint slots must be a list of mappings of {list(names)}")
+    try:  # one stacked array per tensor: its accumulators must share one shape
+        slots = [dict(zip(names, np.asarray([slot[name] for name in names], dtype=np.float64)))
+                 for slot in slots]
+        table = ScaleTable(tuple(payload.get("scale_table"))) if cls is CaAdam else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint slots or scale table: {exc}") from None
+    _check_finite(slots, ConfigError)
+    opt = cls(config) if table is None else CaAdam(config, table)
+    opt.t = t
+    if slots and names:
+        opt._set_state(tuple(slot[names[0]].shape for slot in slots),
+                       {name: np.concatenate([slot[name].ravel() for slot in slots])
+                        for name in names})
     return opt
 
 
@@ -387,15 +403,17 @@ def save_checkpoint(opt: Optimizer, path) -> None:
     """Write ``opt.to_checkpoint()`` as JSON.  A non-finite accumulator is a
     NonFiniteError naming its slot and tensor, raised before ``path`` is opened."""
     payload = opt.to_checkpoint()
-    for i, slot in enumerate(payload["slots"]):
-        for name, values in slot.items():
-            if not np.isfinite(values).all():
-                raise NonFiniteError(f"checkpoint slot {name!r} of tensor {i} is not finite")
+    _check_finite(payload["slots"], NonFiniteError)
     text = json.dumps(payload, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def load_checkpoint(path) -> Optimizer:
+    """``from_checkpoint`` of the JSON file at ``path``; invalid JSON is a ConfigError."""
     with open(path, encoding="utf-8") as fh:
-        return from_checkpoint(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    return from_checkpoint(payload)

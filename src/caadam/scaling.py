@@ -1,8 +1,9 @@
 """Per-layer scaling factors for connection-aware optimization.
 
-Three strategies turn an :class:`~caadam.arch.ArchitectureSummary` into one
-positive factor S per layer, later multiplied into that layer's update so
-the effective learning rate becomes lr * S:
+:func:`compute_scale_table` turns the connection counts of an
+:class:`~caadam.arch.ArchitectureSummary` into one positive factor S per
+layer, later multiplied into that layer's update so the effective learning
+rate becomes lr * S.  It holds all three rules:
 
 * ``additive``: linear in where the layer's connection count sits between
   the network minimum, median, and maximum.  Layers at or below the median
@@ -12,7 +13,8 @@ the effective learning rate becomes lr * S:
   sigma is negative below the median so those layers also get S > 1,
   mirroring the additive rule; S(c_min) * S(c_max) = 1.  The unsigned
   convention keeps sigma positive on both branches, which shrinks updates
-  for small and large layers alike, and is kept only for comparison.
+  for small and large layers alike, and is kept only for comparison; it is
+  valid for this kind only.
 * ``depth``: S = (1 + gamma) ** ((d_m - (1 + d)) / d_m) with d the
   zero-based layer index and d_m the layer count, decaying from the input
   side to exactly 1 at the final layer.
@@ -24,6 +26,7 @@ static, so the table never changes during training.
 from __future__ import annotations
 
 import math
+import statistics
 import sys
 from dataclasses import dataclass
 
@@ -69,10 +72,11 @@ class ScalingStrategy:
             raise ConfigError(f"gamma must be a finite number > -1 for depth scaling, "
                               f"got {self.gamma}")
         if self.multiplicative_sigma not in (SIGNED, UNSIGNED):
-            raise ConfigError(
-                f"multiplicative_sigma must be 'signed' or 'unsigned', "
-                f"got {self.multiplicative_sigma!r}"
-            )
+            raise ConfigError(f"multiplicative_sigma must be 'signed' or 'unsigned', "
+                              f"got {self.multiplicative_sigma!r}")
+        if self.multiplicative_sigma == UNSIGNED and kind != MULTIPLICATIVE:
+            raise ConfigError(f"multiplicative_sigma 'unsigned' is only valid for "
+                              f"multiplicative scaling, not {kind}")
 
 
 @dataclass(frozen=True)
@@ -93,66 +97,29 @@ class ScaleTable:
         return len(self.factors)
 
 
-def _sigma(c: int, summary: ArchitectureSummary, signed: bool) -> float:
-    med = summary.c_median
-    if c <= med:
-        denom = med - summary.c_min
-        if denom == 0.0:
-            return 0.0
-        s = (med - c) / denom
-        return -s if signed else s
-    denom = summary.c_max - med
-    if denom == 0.0:
-        return 0.0
-    return (c - med) / denom
-
-
-def scale_additive(summary: ArchitectureSummary, gamma: float) -> ScaleTable:
-    """S = 1 + gamma * (median - c) / (median - min) below the median,
-    S = 1 - gamma * (c - median) / (max - median) above it.
-
-    A branch whose denominator collapses (median equals the extreme) yields
-    the neutral S = 1, so degenerate architectures fall back to plain Adam.
-    """
-    factors = []
-    for info in summary.layers:
-        sigma = _sigma(info.connections, summary, signed=True)
-        factors.append(1.0 - gamma * sigma)
-    return ScaleTable(tuple(factors))
-
-
-def scale_multiplicative(
-    summary: ArchitectureSummary, gamma: float, sigma_convention: str = SIGNED
-) -> ScaleTable:
-    """S = gamma ** sigma with sigma the layer's normalized position.
-
-    Signed convention (default): sigma < 0 below the median, so small layers
-    get S > 1 and S(c_min) * S(c_max) = 1.  Unsigned keeps sigma positive on
-    both branches.
-    """
-    signed = sigma_convention == SIGNED
-    log_gamma = math.log(gamma)
-    factors = []
-    for info in summary.layers:
-        sigma = _sigma(info.connections, summary, signed=signed)
-        factors.append(math.exp(sigma * log_gamma))
-    return ScaleTable(tuple(factors))
-
-
-def scale_depth(summary: ArchitectureSummary, gamma: float) -> ScaleTable:
-    """S = (1 + gamma) ** ((d_m - (1 + d)) / d_m), equal to 1 at the last layer."""
-    d_m = summary.total_depth
-    factors = []
-    for info in summary.layers:
-        exponent = (d_m - (1 + info.index)) / d_m
-        factors.append((1.0 + gamma) ** exponent)
-    return ScaleTable(tuple(factors))
+def _sigma(c: int, low: int, med: float, high: int, signed: bool) -> float:
+    """Where ``c`` sits between the median and the nearer extreme, in [0, 1],
+    negated below the median when ``signed``; 0 when that span is empty."""
+    if c > med:  # so high > med: this span is never empty
+        return (c - med) / (high - med)
+    s = (med - c) / (med - low) if med > low else 0.0
+    return -s if signed else s
 
 
 def compute_scale_table(strategy: ScalingStrategy, summary: ArchitectureSummary) -> ScaleTable:
-    """Evaluate ``strategy`` over ``summary``, one factor per trainable layer."""
+    """One factor per trainable layer of ``summary`` by ``strategy``'s rule
+    (see the module docstring): S = 1 - gamma * sigma, gamma ** sigma, or
+    the depth power.  A min/median/max span that collapses gives sigma = 0,
+    the neutral S = 1, so degenerate architectures fall back to plain Adam.
+    """
+    counts, gamma = summary.counts, strategy.gamma
+    if strategy.kind == DEPTH:
+        d_m = len(counts)
+        return ScaleTable(tuple((1.0 + gamma) ** ((d_m - (1 + d)) / d_m) for d in range(d_m)))
+    low, med, high = min(counts), float(statistics.median(counts)), max(counts)
+    signed = strategy.multiplicative_sigma == SIGNED
+    sigmas = [_sigma(c, low, med, high, signed) for c in counts]
     if strategy.kind == ADDITIVE:
-        return scale_additive(summary, strategy.gamma)
-    if strategy.kind == MULTIPLICATIVE:
-        return scale_multiplicative(summary, strategy.gamma, strategy.multiplicative_sigma)
-    return scale_depth(summary, strategy.gamma)
+        return ScaleTable(tuple(1.0 - gamma * sigma for sigma in sigmas))
+    log_gamma = math.log(gamma)
+    return ScaleTable(tuple(math.exp(sigma * log_gamma) for sigma in sigmas))

@@ -2,41 +2,34 @@
 
 import pytest
 
-from caadam.arch import median_of, summarize
+from caadam.arch import ArchitectureSummary, summarize
 from caadam.errors import StructureError
 from caadam.linalg import make_rng
 from caadam.nn import NetworkSpec, init_network
+from caadam.scaling import ScalingStrategy, compute_scale_table
 
 
 def test_summarize_counts_weight_edges_not_biases():
     # 8 -> 64 -> 32 -> 1: connections are 512, 2048, 32
     net = init_network(NetworkSpec(8, (64, 32), 1), make_rng(0))
     s = summarize(net)
+    assert s.counts == (512, 2048, 32)
     assert s.connection_counts() == [512, 2048, 32]
-    assert [info.index for info in s.layers] == [0, 1, 2]
-    assert s.c_min == 32
-    assert s.c_max == 2048
-    assert s.c_median == 512.0
-    assert s.total_depth == 3
 
 
 def test_summarize_even_layer_count_median():
-    # 8 -> 64 -> 32 -> 16 -> 1: counts [512, 2048, 512, 16],
-    # sorted [16, 512, 512, 2048] -> median (512 + 512) / 2
-    net = init_network(NetworkSpec(8, (64, 32, 16), 1), make_rng(0))
-    s = summarize(net)
-    assert s.connection_counts() == [512, 2048, 512, 16]
-    assert s.c_median == 512.0
-    assert s.total_depth == 4
+    # 8 -> 64 -> 32 -> 16 -> 1: counts [512, 2048, 512, 16], sorted
+    # [16, 512, 512, 2048], so the median is (512 + 512) / 2 and both layers
+    # of 512 sit on it: neutral under the additive rule
+    s = summarize(init_network(NetworkSpec(8, (64, 32, 16), 1), make_rng(0)))
+    assert s.counts == (512, 2048, 512, 16)
+    factors = compute_scale_table(ScalingStrategy("additive"), s).factors
+    assert factors[0] == factors[2] == 1.0
 
 
 def test_summarize_single_layer():
     net = init_network(NetworkSpec(5, (), 3), make_rng(0))
-    s = summarize(net)
-    assert s.connection_counts() == [15]
-    assert s.c_min == s.c_max == 15
-    assert s.c_median == 15.0
-    assert s.total_depth == 1
+    assert summarize(net) == ArchitectureSummary((15,))
 
 
 def test_summarize_rejects_empty_network():
@@ -45,12 +38,5 @@ def test_summarize_rejects_empty_network():
     empty.layers = []
     with pytest.raises(StructureError, match="no trainable layers"):
         summarize(empty)
-
-
-def test_median_of_odd_and_even():
-    assert median_of([3, 1, 2]) == 2.0
-    assert median_of([4, 1, 3, 2]) == 2.5
-    assert median_of([7]) == 7.0
-    assert median_of([5, 5, 5, 5]) == 5.0
-    # input order must not matter
-    assert median_of([2048, 16, 512, 512]) == median_of([16, 512, 512, 2048])
+    with pytest.raises(StructureError, match="no trainable layers"):
+        ArchitectureSummary(())

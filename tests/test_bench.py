@@ -483,6 +483,13 @@ _JSONISH = st.recursive(
 )
 
 
+@pytest.mark.parametrize("kind", ["additive", "depth_based"])
+def test_optimizer_entry_rejects_unsigned_sigma_without_multiplicative_scaling(kind):
+    # only the multiplicative rule reads sigma; elsewhere the key would do nothing
+    with pytest.raises(ConfigError, match="only valid for multiplicative"):
+        optimizer_entry_from_dict({"algorithm": "caadam", "scaling": kind, "sigma": "unsigned"})
+
+
 # (where, key) -> plausible values; "entry" is the second optimizer entry.
 _PLAUSIBLE = {
     ("experiment", "dataset"): [{}], ("experiment", "architectures"): [[[4, 2]], [[0]], []],

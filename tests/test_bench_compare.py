@@ -1,7 +1,7 @@
 """The gain rule of ``scripts/bench_compare.py``: which pairs a change wins,
 and when a BENCH record says ``<metric>_gain_shown``; what a side's record
-keeps of each run, its calibration time included; and what ``--trace-pairs``
-adds to a record."""
+keeps of each run, its calibration time included; what ``--trace-pairs``
+adds to a record; and the Tier-1 runs a record keeps."""
 
 import importlib.util
 import json
@@ -120,7 +120,8 @@ def test_trace_pairs_record_each_sides_per_layer_summary_and_the_pair_ratios(
                 "environment": {"loadavg_start": [0.0] * 3, "loadavg_end": [0.0] * 3}}
 
     monkeypatch.setattr(bench_compare, "snapshot", lambda rev, dest: {"commit": rev})
-    monkeypatch.setattr(bench_compare, "run_tier1", lambda checkout: {})
+    monkeypatch.setattr(bench_compare, "run_tier1",
+                        lambda checkout: {"wall_s": 1.0, "exit_code": 0, "summary": "1 passed"})
     monkeypatch.setattr(bench_compare, "run_once", fake_run_once)
     timed = iter(range(1, 100))
     monkeypatch.setattr(bench_compare, "calibrate", lambda: next(timed) / 10)
@@ -164,3 +165,23 @@ def test_calibrate_times_the_loop_in_a_one_blas_thread_process(monkeypatch):
     seconds = bench_compare.calibrate()
     assert runs == ["1"]
     assert 0.0 < seconds < 60.0
+
+
+def test_tier1_runs_three_times_per_side_alternating_and_keeps_every_run(monkeypatch):
+    calls = []
+
+    def fake_run_tier1(checkout):
+        calls.append(checkout)
+        return {"wall_s": float(len(calls)), "exit_code": len(calls) % 2,
+                "summary": f"{len(calls)} passed"}
+
+    monkeypatch.setattr(bench_compare, "run_tier1", fake_run_tier1)
+    record = bench_compare.tier1_record({"parent": "p", "change": "c"})
+    assert calls == ["p", "c", "c", "p", "p", "c"]
+    parent, change = record["parent"], record["change"]
+    assert [run["wall_s"] for run in parent["runs"]] == [1.0, 4.0, 5.0]
+    assert [run["exit_code"] for run in change["runs"]] == [0, 1, 0]
+    assert [run["summary"] for run in change["runs"]] == ["2 passed", "3 passed", "6 passed"]
+    assert parent["wall_s"]["median"] == 4.0 and change["wall_s"]["median"] == 3.0
+    assert parent["wall_s"]["values"] == [1.0, 4.0, 5.0] and {"q1", "q3"} <= set(parent["wall_s"])
+    assert parent["command"].startswith("PYTHONPATH=src python -m pytest")

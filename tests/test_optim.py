@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from caadam.arch import summarize
 from caadam.errors import ConfigError, NonFiniteError, ShapeError
 from caadam.linalg import make_rng
 from caadam.nn import GradientSet, Network, NetworkSpec, backward, forward, init_network
@@ -19,7 +18,6 @@ from caadam.optim import (
     OptimizerConfig,
     from_checkpoint,
     load_checkpoint,
-    make_caadam,
     make_optimizer,
     save_checkpoint,
 )
@@ -172,10 +170,10 @@ def test_caadam_bias_shares_its_layer_factor():
             assert_allclose(delta_ca, factor * delta_adam, rtol=1e-12)
 
 
-def test_make_caadam_derives_table_from_architecture():
+def test_make_optimizer_derives_caadam_table_from_architecture():
     net = init_network(NetworkSpec(8, (64, 32), 1), make_rng(1))
     config = OptimizerConfig("caadam", scaling=ScalingStrategy("multiplicative"))
-    opt = make_caadam(config, summarize(net))
+    opt = make_optimizer(config, net)
     assert_allclose(opt.scale_table.factors, [1.0, 0.95, 1.0 / 0.95], rtol=1e-15)
 
 
@@ -305,6 +303,56 @@ def test_checkpoint_version_checked():
     payload["version"] = 99
     with pytest.raises(ConfigError, match="version"):
         from_checkpoint(payload)
+
+
+def _with(payload, **changes):
+    return {**payload, **changes}
+
+
+def _slots(payload, **names):
+    """``payload`` with slot 0 (W0, shape (1, 1)) holding ``names`` instead."""
+    return _with(payload, slots=[names, *payload["slots"][1:]])
+
+
+# name -> (algorithm, malformed copy of a checkpoint taken after two steps)
+_MALFORMED = {
+    "list payload": ("adam", lambda p: [p]),
+    "t a string": ("adam", lambda p: _with(p, t="x")),
+    "t a bool": ("adam", lambda p: _with(p, t=True)),
+    "t negative": ("adam", lambda p: _with(p, t=-3)),
+    "no slots": ("adam", lambda p: {k: v for k, v in p.items() if k != "slots"}),
+    "slot without v": ("adam", lambda p: _slots(p, m=[[0.1]])),
+    "slot with an extra name": ("sgd", lambda p: _slots(p, m=[[0.1]])),
+    "NaN slot": ("adam", lambda p: _slots(p, m=[[0.1]], v=[[math.nan]])),
+    "non-numeric slot": ("adam", lambda p: _slots(p, m=[["x"]], v=[[0.1]])),
+    "slot shapes differ": ("adam", lambda p: _slots(p, m=[0.1], v=[[0.1]])),
+    "unknown config key": ("adam", lambda p: _with(p, config={**p["config"], "momentum": 0.5})),
+    "config value a string": ("adam", lambda p: _with(p, config={"learning_rate": "x"})),
+    "config a list": ("adam", lambda p: _with(p, config=[])),
+    "unknown algorithm": ("adam", lambda p: _with(p, algorithm="lion")),
+    "algorithm a list": ("adam", lambda p: _with(p, algorithm=["adam"])),
+    "scaling a string": ("caadam", lambda p: _with(p, config={"scaling": "depth"})),
+    "scaling without kind": ("caadam", lambda p: _with(p, config={"scaling": {"gamma": 0.5}})),
+    "scaling kind a list": ("caadam", lambda p: _with(p, config={"scaling": {"kind": []}})),
+    "no scale table": ("caadam", lambda p: {k: v for k, v in p.items() if k != "scale_table"}),
+    "scale table of strings": ("caadam", lambda p: _with(p, scale_table=["x"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_checkpoint_is_a_config_error(case):
+    algorithm, malform = _MALFORMED[case]
+    opt = make_named(algorithm)
+    drive(opt, scalar_net(), GRAD_PAIRS[:2])
+    with pytest.raises(ConfigError):
+        from_checkpoint(malform(opt.to_checkpoint()))
+
+
+def test_checkpoint_file_that_is_not_json_is_a_config_error(tmp_path):
+    path = tmp_path / "opt.json"
+    path.write_text('{"version": 1, "t": ')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_preserves_accumulators_exactly():

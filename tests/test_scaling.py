@@ -5,11 +5,12 @@ The worked three-layer example used throughout: connection counts
 """
 
 import math
+import statistics
 
 import pytest
 from numpy.testing import assert_allclose
 
-from caadam.arch import ArchitectureSummary, LayerInfo, median_of, summarize
+from caadam.arch import ArchitectureSummary, summarize
 from caadam.errors import ConfigError
 from caadam.linalg import make_rng
 from caadam.nn import NetworkSpec, init_network
@@ -20,51 +21,39 @@ from caadam.scaling import (
     ScaleTable,
     ScalingStrategy,
     compute_scale_table,
-    scale_additive,
-    scale_depth,
-    scale_multiplicative,
 )
 
-
-def make_summary(counts):
-    return ArchitectureSummary(
-        layers=tuple(LayerInfo(index=i, connections=c) for i, c in enumerate(counts)),
-        c_min=min(counts),
-        c_max=max(counts),
-        c_median=median_of(list(counts)),
-        total_depth=len(counts),
-    )
+THREE = ArchitectureSummary((100, 200, 400))
 
 
-THREE = make_summary([100, 200, 400])
+def table(kind, summary, gamma=0.95, sigma="signed"):
+    return compute_scale_table(ScalingStrategy(kind, gamma, sigma), summary)
 
 
 def test_additive_worked_example():
     # smallest layer: 1 + 0.95, median: 1, largest: 1 - 0.95
-    table = scale_additive(THREE, gamma=0.95)
-    assert_allclose(table.factors, [1.95, 1.0, 0.05], atol=1e-15)
+    assert_allclose(table(ADDITIVE, THREE).factors, [1.95, 1.0, 0.05], atol=1e-15)
 
 
 def test_multiplicative_signed_worked_example():
     # smallest layer sits at sigma=-1 -> 1/gamma; largest at sigma=1 -> gamma
-    table = scale_multiplicative(THREE, gamma=0.95)
-    assert_allclose(table.factors, [1.0 / 0.95, 1.0, 0.95], rtol=1e-15)
+    assert_allclose(table(MULTIPLICATIVE, THREE).factors, [1.0 / 0.95, 1.0, 0.95], rtol=1e-15)
 
 
 def test_multiplicative_unsigned_damps_both_extremes():
-    table = scale_multiplicative(THREE, gamma=0.95, sigma_convention="unsigned")
-    assert_allclose(table.factors, [0.95, 1.0, 0.95], rtol=1e-15)
+    factors = table(MULTIPLICATIVE, THREE, sigma="unsigned").factors
+    assert_allclose(factors, [0.95, 1.0, 0.95], rtol=1e-15)
+    # the kind aliases and a non-default gamma reach the same rule
+    assert (table("multiplicative_minmaxmedian", THREE, 0.5, "unsigned").factors
+            == table(MULTIPLICATIVE, THREE, 0.5, "unsigned").factors == (0.5, 1.0, 0.5))
 
 
 def test_depth_worked_example():
     # three layers: exponents 2/3, 1/3, 0 over base 1 + gamma = 1.95
-    table = scale_depth(THREE, gamma=0.95)
-    assert_allclose(
-        table.factors,
-        [1.5608328885725442, 1.2493329774613908, 1.0],
-        rtol=1e-15,
-    )
-    assert table.factors[-1] == 1.0
+    depth = table(DEPTH, THREE)
+    assert_allclose(depth.factors, [1.5608328885725442, 1.2493329774613908, 1.0], rtol=1e-15)
+    assert depth[-1] == 1.0
+    assert table("depth_based", THREE, 0.5).factors == table(DEPTH, THREE, 0.5).factors
 
 
 def test_real_network_scale_tables():
@@ -72,18 +61,44 @@ def test_real_network_scale_tables():
     # (largest) layer is damped, the output layer enhanced, the input layer
     # sits exactly on the median and stays neutral.
     summary = summarize(init_network(NetworkSpec(8, (64, 32), 1), make_rng(0)))
-    add = scale_additive(summary, 0.95)
-    assert_allclose(add.factors, [1.0, 0.05, 1.95], atol=1e-15)
-    mult = scale_multiplicative(summary, 0.95)
-    assert_allclose(mult.factors, [1.0, 0.95, 1.0 / 0.95], rtol=1e-15)
+    assert_allclose(table(ADDITIVE, summary).factors, [1.0, 0.05, 1.95], atol=1e-15)
+    assert_allclose(table(MULTIPLICATIVE, summary).factors, [1.0, 0.95, 1.0 / 0.95], rtol=1e-15)
+
+
+# The factors of every kind on the benchmark architectures at the default
+# gamma, recorded from the per-rule functions that preceded compute_scale_table.
+# Their counts are (512, 2048, 32), (512, 192) and (1024, 2048, 192).
+_BENCHMARK_TABLES = {
+    (8, (64, 32), 1): {
+        "additive": (1.0, 0.050000000000000044, 1.95),
+        "multiplicative": (1.0, 0.95, 1.0526315789473684),
+        "unsigned": (1.0, 0.95, 0.95),
+        "depth": (1.5608328885725442, 1.2493329774613908, 1.0)},
+    (16, (32,), 6): {
+        "additive": (0.050000000000000044, 1.95),
+        "multiplicative": (0.95, 1.0526315789473684),
+        "unsigned": (0.95, 0.95),
+        "depth": (1.396424004376894, 1.0)},
+    (16, (64, 32), 6): {
+        "additive": (1.0, 0.050000000000000044, 1.95),
+        "multiplicative": (1.0, 0.95, 1.0526315789473684),
+        "unsigned": (1.0, 0.95, 0.95),
+        "depth": (1.5608328885725442, 1.2493329774613908, 1.0)},
+}
+
+
+@pytest.mark.parametrize("dims", sorted(_BENCHMARK_TABLES))
+def test_benchmark_architecture_tables_are_exact(dims):
+    summary = summarize(init_network(NetworkSpec(*dims), make_rng(0)))
+    got = {kind: table(kind, summary).factors for kind in (ADDITIVE, MULTIPLICATIVE, DEPTH)}
+    got["unsigned"] = table(MULTIPLICATIVE, summary, sigma="unsigned").factors
+    assert got == _BENCHMARK_TABLES[dims]
 
 
 def test_four_layer_interior_positions():
     # counts [1024, 8192, 2048, 32]: median is (1024 + 2048) / 2 = 1536, so
     # two layers sit strictly between an extreme and the median
-    summary = make_summary([1024, 8192, 2048, 32])
-    assert summary.c_median == 1536.0
-    got = scale_multiplicative(summary, 0.95)
+    got = table(MULTIPLICATIVE, ArchitectureSummary((1024, 8192, 2048, 32)))
     expected = []
     for c in [1024, 8192, 2048, 32]:
         if c <= 1536:
@@ -97,12 +112,13 @@ def test_four_layer_interior_positions():
 def test_degenerate_architecture_is_neutral():
     # all layers share one connection count: both min-max-median rules
     # collapse to S = 1 everywhere
-    summary = make_summary([320, 320, 320])
-    assert scale_additive(summary, 0.95).factors == (1.0, 1.0, 1.0)
-    assert scale_multiplicative(summary, 0.95).factors == (1.0, 1.0, 1.0)
-    single = make_summary([48])
-    assert scale_additive(single, 0.95).factors == (1.0,)
-    assert scale_multiplicative(single, 0.95).factors == (1.0,)
+    for kind in (ADDITIVE, MULTIPLICATIVE):
+        assert table(kind, ArchitectureSummary((320, 320, 320))).factors == (1.0, 1.0, 1.0)
+        assert table(kind, ArchitectureSummary((48,))).factors == (1.0,)
+    # an even count's median is the mean of the middle two, here (2 + 4) / 2 = 3,
+    # whatever the layer order: the layers of 4 and 2 sit halfway to an extreme
+    assert table(ADDITIVE, ArchitectureSummary((5, 1, 4, 2)), 0.5).factors == (
+        0.5, 1.5, 0.75, 1.25)
 
 
 def test_multiplicative_symmetry_and_additive_range_random_architectures():
@@ -111,32 +127,23 @@ def test_multiplicative_symmetry_and_additive_range_random_architectures():
         depth = int(rng.integers(1, 6))
         sizes = [int(rng.integers(1, 200)) for _ in range(depth + 1)]
         counts = [a * b for a, b in zip(sizes[:-1], sizes[1:])]
-        summary = make_summary(counts)
+        summary = ArchitectureSummary(tuple(counts))
         gamma = float(rng.uniform(0.05, 0.99))
 
-        add = scale_additive(summary, gamma)
+        add = table(ADDITIVE, summary, gamma)
         assert all(1.0 - gamma - 1e-12 <= s <= 1.0 + gamma + 1e-12
                    for s in add.factors)
 
-        mult = scale_multiplicative(summary, gamma)
+        mult = table(MULTIPLICATIVE, summary, gamma)
         assert all(gamma - 1e-12 <= s <= 1.0 / gamma + 1e-12 for s in mult.factors)
-        if summary.c_min < summary.c_median < summary.c_max:
-            s_min = mult.factors[counts.index(summary.c_min)]
-            s_max = mult.factors[counts.index(summary.c_max)]
+        if min(counts) < statistics.median(counts) < max(counts):
+            s_min = mult.factors[counts.index(min(counts))]
+            s_max = mult.factors[counts.index(max(counts))]
             assert abs(s_min * s_max - 1.0) <= 1e-12
 
-        dep = scale_depth(summary, gamma)
+        dep = table(DEPTH, summary, gamma)
         assert dep.factors[-1] == 1.0
         assert all(a >= b for a, b in zip(dep.factors, dep.factors[1:]))
-
-
-def test_compute_scale_table_dispatch():
-    for kind, fn in ((ADDITIVE, scale_additive), (DEPTH, scale_depth)):
-        strategy = ScalingStrategy(kind, gamma=0.5)
-        assert compute_scale_table(strategy, THREE).factors == fn(THREE, 0.5).factors
-    strategy = ScalingStrategy(MULTIPLICATIVE, gamma=0.5, multiplicative_sigma="unsigned")
-    assert (compute_scale_table(strategy, THREE).factors
-            == scale_multiplicative(THREE, 0.5, "unsigned").factors)
 
 
 def test_strategy_kind_aliases():
@@ -162,6 +169,13 @@ def test_strategy_sigma_validation():
     with pytest.raises(ConfigError, match="multiplicative_sigma"):
         ScalingStrategy(MULTIPLICATIVE, multiplicative_sigma="abs")
     assert ScalingStrategy(MULTIPLICATIVE).multiplicative_sigma == "signed"
+
+
+@pytest.mark.parametrize("kind", ["additive", "additive_minmaxmedian", "depth", "depth_based"])
+def test_unsigned_sigma_is_only_valid_for_multiplicative(kind):
+    # these rules have no sigma convention, so an unsigned one would do nothing
+    with pytest.raises(ConfigError, match="only valid for multiplicative"):
+        ScalingStrategy(kind, multiplicative_sigma="unsigned")
 
 
 def test_scale_table_validation_and_indexing():
