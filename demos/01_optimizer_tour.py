@@ -44,7 +44,7 @@ print(f"minimizing (w - 3)^2 + (b + 1)^2 from ({START_W}, {START_B}), "
 print(f"{'algorithm':<10} {'final w':>12} {'final b':>12} {'distance':>12}")
 
 for name in ALGORITHMS:
-    config = OptimizerConfig(name, learning_rate=LR)
+    config = OptimizerConfig(name)
     if name == "caadam":
         # a one-layer net has a single scale factor; pick a non-neutral one
         # so the tour shows the effective learning rate actually changing
@@ -53,7 +53,7 @@ for name in ALGORITHMS:
         opt = make_optimizer(config)
     net = scalar_net()
     for _ in range(STEPS):
-        opt.step(net, bowl_grads(net))
+        opt.step(net, bowl_grads(net), lr=LR)
     w = float(net.layers[0][0][0, 0])
     b = float(net.layers[0][1][0])
     dist = ((w - TARGET_W) ** 2 + (b - TARGET_B) ** 2) ** 0.5

@@ -40,7 +40,7 @@ from .data import (
 from .errors import ConfigError, DataError
 from .linalg import make_rng
 from .nn import CLASSIFICATION, REGRESSION, NetworkSpec, init_network, workspace_shapes
-from .optim import OptimizerConfig, make_optimizer
+from .optim import OptimizerConfig, make_optimizer, optimizer_class
 from .scaling import ScalingStrategy
 from .stats import significance_stars, welch_t_test
 from .train import LOG_COLUMNS, STOP_DIVERGED, TrainConfig, export_log_csv, train, evaluate
@@ -179,13 +179,9 @@ def _defaults(cls) -> dict:
 
 # A trial derives its shuffle seed, so a config sets no train seed.
 _TRAIN_KEYS = {key: d for key, d in _defaults(TrainConfig).items() if key != "seed"}
-# An optimizer entry takes no learning_rate (every optimizer starts from
-# train.initial_lr), adds a label, and flattens the ScalingStrategy into
-# scaling/gamma/sigma.
-_OPTIMIZER_FLOATS = [key for key, d in _defaults(OptimizerConfig).items()
-                     if isinstance(d, float) and key != "learning_rate"]
-_OPTIMIZER_KEYS = ({f.name for f in fields(OptimizerConfig)} - {"learning_rate"}
-                   | {"label", "gamma", "sigma"})
+# An optimizer entry adds a label, flattens the ScalingStrategy into
+# scaling/gamma/sigma, and takes the float fields its algorithm reads.
+_ENTRY_KEYS = {"algorithm", "label", "scaling", "gamma", "sigma"}
 _EXPERIMENT_KEYS = [f.name for f in fields(ExperimentConfig)]
 _EXPERIMENT_DEFAULTS = _defaults(ExperimentConfig)
 
@@ -195,17 +191,17 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
 
     ``scaling``/``gamma``/``sigma`` select and tune a connection- or
     depth-aware scaling strategy; they are rejected for algorithms that do
-    not take one.  Unknown keys are errors rather than silently ignored.
+    not take one.  Of the float hyper-parameters, an entry takes only those
+    its algorithm reads; any other key is an error rather than ignored.
     """
-    unknown = set(_checked(spec, (dict,), "optimizer entry")) - _OPTIMIZER_KEYS
-    if "learning_rate" in unknown:
-        raise ConfigError("an optimizer entry takes no 'learning_rate'; every optimizer "
-                          "starts from train.initial_lr")
-    if unknown:
-        raise ConfigError(f"unknown optimizer config keys: {sorted(unknown)}")
-    if "algorithm" not in spec:
+    if "algorithm" not in _checked(spec, (dict,), "optimizer entry"):
         raise ConfigError(f"optimizer entry needs an 'algorithm': {spec}")
     algorithm = _checked(spec["algorithm"], _STR, "algorithm")
+    reads = optimizer_class(algorithm).reads
+    unknown = spec.keys() - _ENTRY_KEYS - set(reads)
+    if unknown:
+        raise ConfigError(f"unknown optimizer config keys for {algorithm}: {sorted(unknown)}; "
+                          f"of the float hyper-parameters it reads only {list(reads)}")
 
     scaling = None
     if "scaling" in spec:
@@ -220,7 +216,7 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
     elif "gamma" in spec or "sigma" in spec:
         raise ConfigError("'gamma'/'sigma' are only valid together with 'scaling'")
 
-    kwargs = {key: _number(spec[key], key) for key in _OPTIMIZER_FLOATS if key in spec}
+    kwargs = {key: _number(spec[key], key) for key in reads if key in spec}
     config = OptimizerConfig(algorithm=algorithm, scaling=scaling, **kwargs)
     label = _checked(spec.get("label", default_label(config)), _STR, "label")
     return OptimizerEntry(label=label, config=config)

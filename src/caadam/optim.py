@@ -3,7 +3,7 @@
 Every optimizer consumes a :class:`~caadam.nn.Network` plus a matching
 :class:`~caadam.nn.GradientSet` and applies one update step.  The learning
 rate is passed per step so an external schedule composes without mutating
-the optimizer; when omitted it falls back to the configured default.
+the optimizer; a config may set only the hyper-parameters its algorithm reads.
 
 Implemented algorithms, each advancing its own accumulators:
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -47,12 +47,12 @@ from .nn import GradientSet, Network, check_shapes, split_views
 from .scaling import ScaleTable, ScalingStrategy, compute_scale_table
 
 CHECKPOINT_VERSION = 1
+DEFAULT_LR = 1e-3
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     algorithm: str
-    learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -61,15 +61,14 @@ class OptimizerConfig:
     scaling: ScalingStrategy | None = None
 
     def __post_init__(self):
-        if self.algorithm not in _REGISTRY:
-            raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {sorted(_REGISTRY)}"
-            )
+        reads = optimizer_class(self.algorithm).reads
         if self.scaling is not None and self.algorithm != "caadam":
             raise ConfigError(f"'scaling' is only valid for caadam, not {self.algorithm!r}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be a positive finite number, "
-                              f"got {self.learning_rate}")
+        unread = [f.name for f in fields(self) if isinstance(f.default, float)
+                  and f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"{self.algorithm} does not read {unread}; "
+                              f"of the float hyper-parameters it reads only {list(reads)}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"beta1/beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
         if not 0.0 < self.eps < math.inf:
@@ -85,6 +84,7 @@ class Optimizer:
 
     algorithm = "base"
     slot_names: tuple[str, ...] = ()
+    reads: tuple[str, ...] = ()  # the OptimizerConfig fields that _update reads
 
     def __init__(self, config: OptimizerConfig):
         self.config = config
@@ -102,12 +102,10 @@ class Optimizer:
 
     # -- stepping ---------------------------------------------------------
 
-    def step(self, net: Network, grads: GradientSet, lr: float | None = None) -> Network:
+    def step(self, net: Network, grads: GradientSet, lr: float = DEFAULT_LR) -> Network:
         """Advance one step: update accumulators, then shift the parameters."""
-        if lr is None:
-            lr = self.config.learning_rate
-        if lr <= 0.0:
-            raise ConfigError(f"lr must be > 0, got {lr}")
+        if not 0.0 < lr < math.inf:
+            raise ConfigError(f"lr must be > 0 and finite, got {lr}")
         check_shapes(grads.shapes, net.shapes, "gradient set")
         if self._shapes is None:
             self._set_state(net.shapes, {name: np.zeros_like(net.flat)
@@ -188,6 +186,7 @@ class Sgd(Optimizer):
 class Adagrad(Optimizer):
     algorithm = "adagrad"
     slot_names = ("sum_sq",)
+    reads = ("eps",)
 
     def _update(self, p, g, neg_lr):
         sum_sq = self._state["sum_sq"]
@@ -199,6 +198,7 @@ class Adagrad(Optimizer):
 class Adadelta(Optimizer):
     algorithm = "adadelta"
     slot_names = ("avg_sq",)
+    reads = ("decay", "eps")
 
     def _update(self, p, g, neg_lr):
         self._averaged_step(g, neg_lr, self.config.decay, 1.0 - self.config.decay)
@@ -212,8 +212,8 @@ class Adadelta(Optimizer):
 
 class RmsProp(Adadelta):
     algorithm = "rmsprop"
+    reads = ("eps",)  # its coefficients are fixed at 0.9 / 0.1 by definition
 
-    # coefficients fixed at 0.9 / 0.1 by definition
     def _update(self, p, g, neg_lr):
         self._averaged_step(g, neg_lr, 0.9, 0.1)
 
@@ -221,6 +221,7 @@ class RmsProp(Adadelta):
 class Adam(Optimizer):
     algorithm = "adam"
     slot_names = ("m", "v")
+    reads = ("beta1", "beta2", "eps")
 
     def _update(self, p, g, neg_lr):
         self._moments(g)
@@ -245,6 +246,7 @@ class Adam(Optimizer):
 
 class AdamW(Adam):
     algorithm = "adamw"
+    reads = Adam.reads + ("weight_decay",)
 
     def _update(self, p, g, neg_lr):
         super()._update(p, g, neg_lr)
@@ -255,6 +257,7 @@ class AdamW(Adam):
 class Adamax(Optimizer):
     algorithm = "adamax"
     slot_names = ("m", "u")
+    reads = ("beta1", "beta2")
 
     def _update(self, p, g, neg_lr):
         b1, u, s, d = self.config.beta1, self._state["u"], self._scratch, self._delta
@@ -332,6 +335,13 @@ _REGISTRY: dict[str, type[Optimizer]] = {
 ALGORITHMS = tuple(sorted(_REGISTRY))
 
 
+def optimizer_class(algorithm: str) -> type[Optimizer]:
+    """The optimizer class named ``algorithm``; an unknown name is a ConfigError."""
+    if algorithm not in _REGISTRY:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {sorted(_REGISTRY)}")
+    return _REGISTRY[algorithm]
+
+
 def make_optimizer(config: OptimizerConfig, net: Network | None = None) -> Optimizer:
     """Instantiate the optimizer named by ``config.algorithm``; ``caadam``
     derives its scale table from ``net``, which every other algorithm ignores."""
@@ -376,6 +386,8 @@ def from_checkpoint(payload: dict) -> Optimizer:
     t, cfg, slots = payload.get("t"), payload.get("config"), payload.get("slots")
     if type(t) is not int or t < 0:  # a bool is an int too
         raise ConfigError(f"checkpoint step 't' must be an integer >= 0, got {t!r}")
+    if isinstance(cfg, dict):  # learning_rate is no longer a config field: ignore a saved one
+        cfg = {key: value for key, value in cfg.items() if key != "learning_rate"}
     scaling = cfg.get("scaling") if isinstance(cfg, dict) else None
     config = _built(OptimizerConfig, cfg, algorithm=payload.get("algorithm"),
                     scaling=None if scaling is None else _built(ScalingStrategy, scaling))
@@ -383,12 +395,18 @@ def from_checkpoint(payload: dict) -> Optimizer:
     names = cls.slot_names
     if type(slots) is not list or any(type(s) is not dict or s.keys() != set(names) for s in slots):
         raise ConfigError(f"checkpoint slots must be a list of mappings of {list(names)}")
+    if names and (t > 0) != bool(slots):  # sgd keeps no state: restored, it saves [] until it steps
+        raise ConfigError(f"checkpoint at step t={t} has {len(slots)} slots; "
+                          "a step t > 0 has one per tensor and t = 0 has none")
     try:  # one stacked array per tensor: its accumulators must share one shape
         slots = [dict(zip(names, np.asarray([slot[name] for name in names], dtype=np.float64)))
                  for slot in slots]
         table = ScaleTable(tuple(payload.get("scale_table"))) if cls is CaAdam else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed checkpoint slots or scale table: {exc}") from None
+    if table is not None and slots and 2 * len(table) != len(slots):
+        raise ConfigError(f"checkpoint scale table has {len(table)} factors for "
+                          f"{len(slots)} slots; a layer has two (weights and bias)")
     _check_finite(slots, ConfigError)
     opt = cls(config) if table is None else CaAdam(config, table)
     opt.t = t

@@ -24,7 +24,7 @@ from .data import Dataset, SplitDataset
 from .errors import ConfigError, DataError, NonFiniteError
 from .linalg import make_rng
 from .nn import BLOCK_ROWS, CLASSIFICATION, Network, Workspace, backward, forward, loss
-from .optim import Optimizer
+from .optim import DEFAULT_LR, Optimizer
 
 STOP_EARLY = "early_stop"
 STOP_MAX_EPOCHS = "max_epochs"
@@ -40,7 +40,7 @@ class TrainConfig:
     lr_reduce_factor: float = 0.25
     lr_reduce_patience: int = 6
     min_lr: float = 2.5e-5
-    initial_lr: float = 1e-3
+    initial_lr: float = DEFAULT_LR
     seed: int = 0
 
     def __post_init__(self):

@@ -9,7 +9,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -45,7 +45,7 @@ from caadam.data import (
 )
 from caadam.errors import ConfigError, DataError
 from caadam.nn import CLASSIFICATION, REGRESSION
-from caadam.optim import OptimizerConfig
+from caadam.optim import ALGORITHMS, OptimizerConfig, optimizer_class
 from caadam.scaling import ScalingStrategy
 from caadam.train import STOP_DIVERGED, STOP_EARLY, STOP_MAX_EPOCHS, TrainConfig
 
@@ -424,6 +424,24 @@ def test_optimizer_entry_from_dict_scaling_rules():
         optimizer_entry_from_dict({"beta1": 0.1})
 
 
+_HYPER_PARAMETERS = [f.name for f in fields(OptimizerConfig) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("key", _HYPER_PARAMETERS)
+def test_optimizer_takes_exactly_the_hyper_parameters_it_reads(algorithm, key):
+    spec = {"algorithm": algorithm, key: 0.5}
+    if algorithm == "caadam":
+        spec["scaling"] = "depth"
+    if key in optimizer_class(algorithm).reads:
+        assert getattr(optimizer_entry_from_dict(spec).config, key) == 0.5
+        return
+    with pytest.raises(ConfigError, match=rf"{algorithm} does not read \['{key}'\]"):
+        OptimizerConfig(algorithm, **{key: 0.5})
+    with pytest.raises(ConfigError, match=rf"keys for {algorithm}: \['{key}'\]"):
+        optimizer_entry_from_dict(spec)
+
+
 def test_default_labels():
     assert default_label(OptimizerConfig("nadam")) == "nadam"
     assert default_label(
@@ -569,7 +587,6 @@ _FLOAT_FIELDS = {
     # min_lr <= initial_lr, each against the other's default
     "min_lr": (lambda v: TrainConfig(min_lr=v), 0.0, 1e-3, "(]"),
     "initial_lr": (lambda v: TrainConfig(initial_lr=v), 2.5e-5, math.inf, "[)"),
-    "learning_rate": (lambda v: OptimizerConfig("adam", learning_rate=v), 0.0, math.inf, "()"),
     "beta1": (lambda v: OptimizerConfig("adam", beta1=v), 0.0, 1.0, "[)"),
     "beta2": (lambda v: OptimizerConfig("adam", beta2=v), 0.0, 1.0, "[)"),
     "eps": (lambda v: OptimizerConfig("adam", eps=v), 0.0, math.inf, "()"),

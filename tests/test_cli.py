@@ -407,7 +407,7 @@ def test_optimizer_learning_rate_key_is_config_error(tmp_path, capsys):
     code = main(["benchmark", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "config error:" in err and "initial_lr" in err
+    assert "config error:" in err and "learning_rate" in err
 
 
 def test_integer_past_parsing_digit_limit_is_config_error(tmp_path, capsys):

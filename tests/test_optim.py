@@ -2,6 +2,7 @@
 contract, checkpointing, and failure modes."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from caadam.linalg import make_rng
 from caadam.nn import GradientSet, Network, NetworkSpec, backward, forward, init_network
 from caadam.optim import (
     ALGORITHMS,
+    DEFAULT_LR,
     Adam,
     CaAdam,
     OptimizerConfig,
     from_checkpoint,
     load_checkpoint,
     make_optimizer,
+    optimizer_class,
     save_checkpoint,
 )
 from caadam.scaling import ScaleTable, ScalingStrategy
@@ -39,14 +42,14 @@ def scalar_net(w0=W0, b0=B0):
     return Network(spec=spec, layers=[(np.array([[w0]]), np.array([b0]))])
 
 
-def make_named(algorithm):
-    config = OptimizerConfig(algorithm)
+def make_named(algorithm, **hyper):
+    config = OptimizerConfig(algorithm, **hyper)
     if algorithm == "caadam":
         return CaAdam(config, ScaleTable((CAADAM_SCALE,)))
     return make_optimizer(config)
 
 
-def drive(opt, net, grad_pairs, lr=None):
+def drive(opt, net, grad_pairs, lr=1e-3):
     ws, bs = [], []
     for gw, gb in grad_pairs:
         grads = GradientSet(layers=[(np.array([[gw]]), np.array([gb]))])
@@ -89,6 +92,19 @@ def test_bowl_convergence(algorithm):
     assert net.layers[0][1][0] == 0.0
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("key", [f.name for f in fields(OptimizerConfig)
+                                 if isinstance(f.default, float)])
+def test_a_hyper_parameter_changes_a_two_step_trajectory_exactly_when_read(algorithm, key):
+    # the gradients shrink, so adamax's u = max(beta2 * u, |g|) keeps beta2 * u
+    grad_pairs = [(1.0, -0.5), (0.1, 0.05)]
+    default = drive(make_named(algorithm), scalar_net(), grad_pairs, lr=0.1)
+    opt = make_named(algorithm)
+    object.__setattr__(opt.config, key, 0.5)  # past the check that refuses an unread value
+    changed = drive(opt, scalar_net(), grad_pairs, lr=0.1)
+    assert (changed != default) == (key in optimizer_class(algorithm).reads)
+
+
 def test_adamax_zero_gradient_coordinate_stays_put():
     # u == 0 on a never-touched coordinate: the 0/0 is defined as 0
     net = scalar_net()
@@ -98,12 +114,12 @@ def test_adamax_zero_gradient_coordinate_stays_put():
     assert net.layers[0][1][0] == B0
 
 
-def test_step_uses_config_learning_rate_by_default():
+def test_step_without_lr_uses_default_lr():
     net = scalar_net(w0=1.0, b0=1.0)
-    opt = make_optimizer(OptimizerConfig("sgd", learning_rate=0.5))
+    opt = make_optimizer(OptimizerConfig("sgd"))
     opt.step(net, GradientSet(layers=[(np.array([[2.0]]), np.array([4.0]))]))
-    assert net.layers[0][0][0, 0] == 0.0  # 1 - 0.5 * 2
-    assert net.layers[0][1][0] == -1.0  # 1 - 0.5 * 4
+    assert net.layers[0][0][0, 0] == 1.0 - DEFAULT_LR * 2.0
+    assert net.layers[0][1][0] == 1.0 - DEFAULT_LR * 4.0
 
 
 def test_step_rejects_bad_lr():
@@ -111,6 +127,17 @@ def test_step_rejects_bad_lr():
     grads = GradientSet(layers=[(np.zeros((1, 1)), np.zeros(1))])
     with pytest.raises(ConfigError, match="lr must be > 0"):
         opt.step(scalar_net(), grads, lr=0.0)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_step_with_non_finite_lr_fails_before_changing_state(lr):
+    net, opt = scalar_net(), make_named("adam")
+    drive(opt, net, GRAD_PAIRS[:2])
+    before, weights = opt.to_checkpoint(), net.flat.copy()
+    with pytest.raises(ConfigError, match="lr must be > 0"):
+        drive(opt, net, GRAD_PAIRS[2:3], lr=lr)
+    assert opt.to_checkpoint() == before and opt.t == 2
+    assert_array_equal(net.flat, weights)
 
 
 def test_step_rejects_nonfinite_update():
@@ -203,8 +230,8 @@ def test_make_optimizer_dispatch():
 def test_optimizer_config_validation():
     with pytest.raises(ConfigError, match="unknown algorithm"):
         OptimizerConfig("lion")
-    with pytest.raises(ConfigError, match="learning_rate"):
-        OptimizerConfig("adam", learning_rate=0.0)
+    with pytest.raises(ConfigError, match="unknown algorithm"):
+        OptimizerConfig("lion", weight_decay=0.5)
     with pytest.raises(ConfigError, match="beta1/beta2"):
         OptimizerConfig("adam", beta1=1.0)
     with pytest.raises(ConfigError, match="beta1/beta2"):
@@ -285,12 +312,11 @@ def test_caadam_checkpoint_keeps_scale_table(tmp_path):
 
 def test_checkpoint_keeps_config_and_scaling_strategy():
     config = OptimizerConfig(
-        "caadam", learning_rate=0.01, beta1=0.8,
+        "caadam", beta1=0.8,
         scaling=ScalingStrategy("multiplicative", gamma=0.9, multiplicative_sigma="unsigned"),
     )
     opt = CaAdam(config, ScaleTable((1.0,)))
     restored = from_checkpoint(opt.to_checkpoint())
-    assert restored.config.learning_rate == 0.01
     assert restored.config.beta1 == 0.8
     assert restored.config.scaling.kind == "multiplicative"
     assert restored.config.scaling.gamma == 0.9
@@ -327,7 +353,9 @@ _MALFORMED = {
     "non-numeric slot": ("adam", lambda p: _slots(p, m=[["x"]], v=[[0.1]])),
     "slot shapes differ": ("adam", lambda p: _slots(p, m=[0.1], v=[[0.1]])),
     "unknown config key": ("adam", lambda p: _with(p, config={**p["config"], "momentum": 0.5})),
-    "config value a string": ("adam", lambda p: _with(p, config={"learning_rate": "x"})),
+    "config value a string": ("adam", lambda p: _with(p, config={"beta1": "x"})),
+    "config value its algorithm does not read": (
+        "adam", lambda p: _with(p, config={**p["config"], "weight_decay": 0.5})),
     "config a list": ("adam", lambda p: _with(p, config=[])),
     "unknown algorithm": ("adam", lambda p: _with(p, algorithm="lion")),
     "algorithm a list": ("adam", lambda p: _with(p, algorithm=["adam"])),
@@ -336,6 +364,10 @@ _MALFORMED = {
     "scaling kind a list": ("caadam", lambda p: _with(p, config={"scaling": {"kind": []}})),
     "no scale table": ("caadam", lambda p: {k: v for k, v in p.items() if k != "scale_table"}),
     "scale table of strings": ("caadam", lambda p: _with(p, scale_table=["x"])),
+    "t > 0 without slots": ("adam", lambda p: _with(p, t=5, slots=[])),
+    "t = 0 with slots": ("adam", lambda p: _with(p, t=0)),
+    "scale table shorter than the layers": ("caadam", lambda p: _with(
+        p, scale_table=[1.0], slots=p["slots"] * 2)),
 }
 
 
@@ -460,7 +492,9 @@ def test_v1_checkpoint_literal_loads_and_resumes_bit_exactly(algorithm):
     net = init_network(NetworkSpec(2, (3,), 1), make_rng(40))
     opt = make_optimizer(config, net)
     _drive_batches(opt, net, range(5))
-    assert opt.to_checkpoint() == V1_CHECKPOINTS[algorithm]
+    literal = V1_CHECKPOINTS[algorithm]  # written while the config had a learning_rate
+    assert opt.to_checkpoint() == {**literal, "config": {
+        key: value for key, value in literal["config"].items() if key != "learning_rate"}}
 
     restored = from_checkpoint(V1_CHECKPOINTS[algorithm])
     twin = Network(spec=net.spec, layers=net.copy_weights())
