@@ -442,13 +442,16 @@ def _set_blas_threads(count: int) -> None:
         return
 
 
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _worker_init(workers: int, *args):
     """Start a pool worker: its share of the usable cores as BLAS threads
     (each OpenBLAS thread spins while it waits, so a full-width BLAS in
     every worker oversubscribes the cores), then the trial arguments."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    _set_blas_threads(max(1, cores // workers))
+    _set_blas_threads(max(1, usable_cores() // workers))
     _WORKER_ARGS[:] = args
 
 

@@ -147,8 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--trials", type=int, default=None,
                          help="override trials per cell")
-    p_bench.add_argument("--parallel", type=int, default=1,
-                         help="worker processes, at most one per trial (default 1)")
+    p_bench.add_argument("--parallel", type=int, default=bench.usable_cores(),
+                         help="worker processes, at most one per trial "
+                              "(default: the usable cores, %(default)s here)")
     p_bench.add_argument("--baseline", default="adam",
                          help="baseline optimizer label (default adam)")
     p_bench.add_argument("--quiet", action="store_true", help="suppress per-trial lines")

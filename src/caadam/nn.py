@@ -8,8 +8,8 @@ together with the ``Workspace`` it wrote, which is the activation cache that
 
 Parameters live in one contiguous float64 vector per network, laid out
 W0, b0, W1, b1, ... with each weight matrix row-major; the per-layer
-``(W, b)`` pairs are views into it.  Gradients use the same layout, so an
-optimizer updates a whole network with one vector expression.
+``(W, b)`` pairs are views into it.  Gradients and weight snapshots use the
+same layout, so an optimizer updates a whole network with one vector expression.
 """
 
 from __future__ import annotations
@@ -108,14 +108,16 @@ class Network:
         check_shapes(self.shapes, tuple(shape for dims in self.spec.layer_dims
                                         for shape in (dims, dims[1:])), "layer list")
 
-    def copy_weights(self) -> list[tuple[Matrix, np.ndarray]]:
-        return [(w.copy(), b.copy()) for w, b in self.layers]
+    def copy_weights(self) -> np.ndarray:
+        """A snapshot of the weights: a copy of ``flat``."""
+        return self.flat.copy()
 
-    def set_weights(self, snapshot: list[tuple[Matrix, np.ndarray]]) -> None:
-        """Copy ``snapshot`` into ``flat``; ``layers`` keep viewing it."""
-        flat, shapes, _ = _pack(snapshot)
-        check_shapes(shapes, self.shapes, "snapshot")
-        self.flat[...] = flat
+    def set_weights(self, snapshot: np.ndarray) -> None:
+        """Copy ``snapshot``, a vector of ``flat``'s shape, into ``flat``;
+        ``layers`` keep viewing it.  Any other shape is a ShapeError."""
+        if np.shape(snapshot) != self.flat.shape:
+            raise ShapeError(f"snapshot has shape {np.shape(snapshot)}, not {self.flat.shape}")
+        self.flat[...] = snapshot
 
 
 @dataclass
@@ -235,12 +237,12 @@ def _class_indices(targets, n_rows: int, n_classes: int) -> np.ndarray:
     idx = np.asarray(targets).reshape(-1)
     if idx.shape[0] != n_rows:
         raise ShapeError(f"expected {n_rows} target rows, got {idx.shape[0]}")
-    idx = idx.astype(np.int64, copy=False)
-    if idx.min() < 0 or idx.max() >= n_classes:
-        raise ShapeError(
-            f"class index out of range [0, {n_classes}): saw {idx.min()}..{idx.max()}"
-        )
-    return idx
+    # only a non-integer dtype can hold a fraction; NaN is not whole either
+    whole = idx.dtype.kind in "iu" or bool((np.trunc(idx) == idx).all())
+    if not whole or idx.min() < 0 or idx.max() >= n_classes:
+        raise ShapeError(f"class index out of range [0, {n_classes}) or not whole: "
+                         f"saw {idx.min()}..{idx.max()}")
+    return idx.astype(np.int64, copy=False)
 
 
 def loss(prediction: Matrix, targets, head: str) -> float:

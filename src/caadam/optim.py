@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
 from typing import get_type_hints
 
 import numpy as np
@@ -104,8 +105,8 @@ class Optimizer:
 
     def step(self, net: Network, grads: GradientSet, lr: float = DEFAULT_LR) -> Network:
         """Advance one step: update accumulators, then shift the parameters."""
-        if not 0.0 < lr < math.inf:
-            raise ConfigError(f"lr must be > 0 and finite, got {lr}")
+        if isinstance(lr, bool) or not isinstance(lr, Real) or not 0.0 < lr < math.inf:
+            raise ConfigError(f"lr must be > 0 and finite, got {lr!r}")
         check_shapes(grads.shapes, net.shapes, "gradient set")
         if self._shapes is None:
             self._set_state(net.shapes, {name: np.zeros_like(net.flat)
@@ -144,28 +145,20 @@ class Optimizer:
         np.sqrt(s, out=s)
         self._delta /= s
 
-    @property
-    def _slots(self) -> list[dict[str, np.ndarray]]:
-        """The accumulators split per tensor (W0, b0, W1, ...), as views."""
-        if self._shapes is None:
-            return []
-        per_name = {name: split_views(vec, self._shapes) for name, vec in self._state.items()}
-        return [{name: views[i] for name, views in per_name.items()}
-                for i in range(len(self._shapes))]
-
     # -- checkpointing ----------------------------------------------------
 
     def to_checkpoint(self) -> dict:
-        """JSON-safe snapshot: version, algorithm, config, step, accumulators."""
+        """JSON-safe snapshot: version, algorithm, config, step, per-tensor accumulators."""
+        shapes = self._shapes or ()
+        per_name = {name: split_views(vec, shapes) for name, vec in self._state.items()}
         return {
             "version": CHECKPOINT_VERSION,
             "algorithm": self.algorithm,
             "config": {key: value for key, value in asdict(self.config).items()
                        if key != "algorithm" and value is not None},  # None: no scaling
             "t": self.t,
-            "slots": [
-                {name: arr.tolist() for name, arr in slot.items()} for slot in self._slots
-            ],
+            "slots": [{name: views[i].tolist() for name, views in per_name.items()}
+                      for i in range(len(shapes))],
         }
 
 

@@ -117,7 +117,7 @@ class TrainLog:
     stop_reason: str = STOP_MAX_EPOCHS
     epochs_run: int = 0
     best_val_loss: float = math.inf
-    best_weights: list | None = None
+    best_weights: np.ndarray | None = None  # a copy of Network.flat
 
 
 # The columns of a loss-curve CSV: the deterministic EpochRecord fields.

@@ -34,7 +34,7 @@ def write_config(tmp_path, payload, name="config.json"):
 def test_benchmark_writes_all_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     out = tmp_path / "run"
-    code = main(["benchmark", "--config", cfg, "--out", str(out)])
+    code = main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(out)])
     assert code == EXIT_OK
 
     assert (out / "trials.json").is_file()
@@ -61,9 +61,9 @@ def test_benchmark_writes_all_outputs(tmp_path, capsys):
 
 def test_benchmark_repeat_runs_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, SMALL_CONFIG)
-    code_a = main(["benchmark", "--config", cfg, "--out", str(tmp_path / "a"),
+    code_a = main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(tmp_path / "a"),
                    "--quiet"])
-    code_b = main(["benchmark", "--config", cfg, "--out", str(tmp_path / "b"),
+    code_b = main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(tmp_path / "b"),
                    "--quiet"])
     assert code_a == code_b == EXIT_OK
     bytes_a = (tmp_path / "a" / "trials.json").read_bytes()
@@ -77,7 +77,7 @@ def test_benchmark_repeat_runs_are_byte_identical(tmp_path):
 def test_benchmark_trials_override(tmp_path):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     out = tmp_path / "run"
-    code = main(["benchmark", "--config", cfg, "--out", str(out),
+    code = main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(out),
                  "--trials", "3", "--quiet"])
     assert code == EXIT_OK
     payload = json.loads((out / "trials.json").read_text())
@@ -116,7 +116,8 @@ def test_train_is_the_first_benchmark_trial(tmp_path):
     }
     cfg = write_config(tmp_path, payload)
     run, single = tmp_path / "run", tmp_path / "single"
-    assert main(["benchmark", "--config", cfg, "--out", str(run), "--quiet"]) == EXIT_OK
+    assert main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(run),
+                 "--quiet"]) == EXIT_OK
     assert main(["train", "--config", cfg, "--out", str(single)]) == EXIT_OK
 
     assert (single / "log.csv").read_bytes() == \
@@ -134,7 +135,7 @@ def test_train_is_the_first_benchmark_trial(tmp_path):
 def test_report_rebuilds_from_trials(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     run = tmp_path / "run"
-    assert main(["benchmark", "--config", cfg, "--out", str(run),
+    assert main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(run),
                  "--quiet"]) == EXIT_OK
     capsys.readouterr()
 
@@ -159,7 +160,7 @@ def test_report_rebuilds_from_trials(tmp_path, capsys):
 def test_report_command_rebuilds_benchmark_report_byte_for_byte(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     run = tmp_path / "run"
-    assert main(["benchmark", "--config", cfg, "--out", str(run),
+    assert main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(run),
                  "--quiet"]) == EXIT_OK
     rebuilt = tmp_path / "rebuilt"
     assert main(["report", "--trials", str(run / "trials.json"),
@@ -256,7 +257,7 @@ def test_report_on_fuzzed_trials_file_exits_with_a_documented_code(tmp_path, cap
 def test_curves_merges_per_trial_logs(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     run = tmp_path / "run"
-    assert main(["benchmark", "--config", cfg, "--out", str(run),
+    assert main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(run),
                  "--quiet"]) == EXIT_OK
 
     merged = tmp_path / "curves.csv"
@@ -275,7 +276,7 @@ def test_curves_names_cells_as_trials_json_does(tmp_path):
     payload = {**SMALL_CONFIG, "optimizers": [{"algorithm": "adam"},
                                               {"algorithm": "adam", "label": "my__adam"}]}
     run = tmp_path / "run"
-    assert main(["benchmark", "--config", write_config(tmp_path, payload),
+    assert main(["benchmark", "--parallel", "1", "--config", write_config(tmp_path, payload),
                  "--out", str(run), "--quiet"]) == EXIT_OK
     merged = tmp_path / "curves.csv"
     assert main(["curves", "--logs", str(run / "logs"), "--out", str(merged)]) == EXIT_OK
@@ -429,7 +430,7 @@ def test_baseline_missing_from_config_fails_before_any_trial(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
     assert not (out / "trials.json").exists()
     # the relabelled entry is a valid baseline when named
-    assert main(["benchmark", "--config", cfg, "--out", str(out), "--quiet",
+    assert main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(out), "--quiet",
                  "--baseline", "adam-1e3"]) == EXIT_OK
 
 
@@ -503,7 +504,7 @@ DIVERGING_CONFIG = {
 def test_benchmark_all_diverged_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, DIVERGING_CONFIG)
     out = tmp_path / "run"
-    code = main(["benchmark", "--config", cfg, "--out", str(out), "--quiet"])
+    code = main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == EXIT_DIVERGED
     assert "every trial diverged" in capsys.readouterr().err
     # the raw trials are still persisted for post-mortems
@@ -515,7 +516,7 @@ def test_benchmark_all_diverged_exit_code(tmp_path, capsys):
 def test_report_on_all_diverged_trials_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, DIVERGING_CONFIG)
     out = tmp_path / "run"
-    main(["benchmark", "--config", cfg, "--out", str(out), "--quiet"])
+    main(["benchmark", "--parallel", "1", "--config", cfg, "--out", str(out), "--quiet"])
     capsys.readouterr()
     code = main(["report", "--trials", str(out / "trials.json")])
     assert code == EXIT_DIVERGED
@@ -549,6 +550,8 @@ def test_unknown_subcommand_exits_with_usage():
 # Every update rule on a small regression grid.  The hash was recorded from
 # the per-tensor optimizer that preceded the flat parameter vector; a change
 # that keeps every element's arithmetic keeps trials.json byte-identical.
+# Both golden grids run at the default --parallel, a process pool on a
+# multi-core machine, so their hashes also hold a pooled grid to serial bytes.
 GOLDEN_CONFIG = {
     "dataset": {"kind": "synth_regression", "n": 300, "m": 4,
                 "noise_std": 0.3, "seed": 11},

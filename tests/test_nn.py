@@ -90,6 +90,16 @@ def test_loss_shape_and_head_errors():
         loss(np.zeros((2, 1)), np.zeros((2, 1)), "huber")
     with pytest.raises(ShapeError, match="out of range"):
         loss(np.zeros((2, 3)), [0, 3], CLASSIFICATION)
+    # a fractional or NaN class target is refused, not truncated to a class
+    net = init_network(NetworkSpec(2, (), 3, CLASSIFICATION), make_rng(0))
+    for targets in ([0.5, 2.9], [0.0, math.nan]):
+        with pytest.raises(ShapeError, match="not whole"):
+            loss(np.zeros((2, 3)), np.array(targets), CLASSIFICATION)
+        _, cache = forward(net, np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match="not whole"):
+            backward(net, cache, np.array(targets))
+    assert_allclose(loss(np.zeros((2, 3)), np.array([0.0, 2.0]), CLASSIFICATION),
+                    math.log(3.0), rtol=1e-12)
     with pytest.raises(NonFiniteError):
         loss(np.array([[1e200]]), np.array([[-1e200]]), REGRESSION)
 
@@ -328,11 +338,12 @@ def test_parameters_order_and_snapshot_roundtrip():
     w0, b0 = net.layers[0]
     assert_array_equal(net.flat[: w0.size + b0.size], np.concatenate([w0.ravel(), b0]))
     snap = net.copy_weights()
+    assert snap.shape == net.flat.shape and not np.shares_memory(snap, net.flat)
     net.layers[0][0][0, 0] += 1.0
-    assert net.layers[0][0][0, 0] != snap[0][0][0, 0]  # snapshot is a copy
+    assert net.flat[0] != snap[0]  # snapshot is a copy
     net.set_weights(snap)
-    for (w, b), (sw, sb) in zip(net.layers, snap):
-        assert_array_equal(w, sw)
-        assert_array_equal(b, sb)
-    with pytest.raises(ShapeError):
-        net.set_weights(snap[:1])
+    assert_array_equal(net.flat, snap)
+    for bad in (snap[:1], snap.reshape(1, -1), np.append(snap, 0.0)):
+        with pytest.raises(ShapeError, match="snapshot has shape"):
+            net.set_weights(bad)
+    assert_array_equal(net.flat, snap)

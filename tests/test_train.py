@@ -253,13 +253,34 @@ def test_train_early_stop_restores_best_weights():
     assert log.epochs_run < 1000
     # returned weights are the best snapshot: recomputing the validation
     # loss on them reproduces best_val_loss exactly
-    for (w, b), (sw, sb) in zip(net.layers, log.best_weights):
-        assert_array_equal(w, sw)
-        assert_array_equal(b, sb)
+    assert_array_equal(net.flat, log.best_weights)
     from caadam.nn import forward, loss as loss_fn
 
     pred, _ = forward(net, split.validation.features)
     assert loss_fn(pred, split.validation.targets, net.spec.output_head) == log.best_val_loss
+
+
+def test_train_snapshots_through_copy_weights_once_per_improving_epoch(monkeypatch):
+    # a profiler's snapshot timer wraps Network.copy_weights, so every
+    # best-weights snapshot must be one call of it
+    calls, copy = [], Network.copy_weights
+
+    def counted(net):
+        calls.append(copy(net))
+        return calls[-1]
+
+    monkeypatch.setattr(Network, "copy_weights", counted)
+    split, net = small_problem(seed=9)
+    cfg = TrainConfig(batch_size=32, seed=4)
+    net, log = train(net, make_optimizer(OptimizerConfig("adam")), split, cfg)
+    assert log.stop_reason == STOP_EARLY
+    best, improving = math.inf, 0
+    for record in log.records:
+        if record.val_loss < best - cfg.early_stop_min_delta:
+            best, improving = record.val_loss, improving + 1
+    assert 1 < improving < log.epochs_run
+    assert len(calls) == improving
+    assert log.best_weights is calls[-1]
 
 
 def test_train_max_epochs_keeps_final_weights():
@@ -271,10 +292,7 @@ def test_train_max_epochs_keeps_final_weights():
     # network (final weights differ from the snapshot whenever the last
     # epoch was not the best one)
     if log.records[-1].val_loss != log.best_val_loss:
-        assert any(
-            not np.array_equal(w, sw)
-            for (w, _), (sw, _) in zip(net.layers, log.best_weights)
-        )
+        assert not np.array_equal(net.flat, log.best_weights)
 
 
 def test_train_divergence_is_reported_not_raised():
@@ -295,9 +313,7 @@ def test_train_divergence_after_progress_restores_best():
     assert log.stop_reason == STOP_DIVERGED
     assert log.epochs_run >= 1
     assert log.best_weights is not None
-    for (w, b), (sw, sb) in zip(net.layers, log.best_weights):
-        assert_array_equal(w, sw)
-        assert_array_equal(b, sb)
+    assert_array_equal(net.flat, log.best_weights)
 
 
 def test_train_final_partial_batch_is_used():
@@ -307,7 +323,7 @@ def test_train_final_partial_batch_is_used():
     split = split_standardize(ds, (0.6, 0.2, 0.2), seed=1)
     assert split.train.n_samples == 30
     net_a = init_network(NetworkSpec(2, (4,), 1), make_rng(0))
-    net_b = Network(spec=net_a.spec, layers=net_a.copy_weights())
+    net_b = Network(spec=net_a.spec, layers=net_a.layers)
     _, log_a = train(net_a, make_optimizer(OptimizerConfig("adam")), split,
                      TrainConfig(batch_size=20, max_epochs=1, seed=3))
     _, log_b = train(net_b, make_optimizer(OptimizerConfig("adam")), split,
