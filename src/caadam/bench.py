@@ -43,7 +43,16 @@ from .nn import CLASSIFICATION, REGRESSION, NetworkSpec, init_network, workspace
 from .optim import OptimizerConfig, make_optimizer, optimizer_class
 from .scaling import ScalingStrategy
 from .stats import significance_stars, welch_t_test
-from .train import LOG_COLUMNS, STOP_DIVERGED, TrainConfig, export_log_csv, train, evaluate
+from .train import (
+    LOG_COLUMNS,
+    STOP_DIVERGED,
+    STOP_EARLY,
+    STOP_MAX_EPOCHS,
+    TrainConfig,
+    evaluate,
+    export_log_csv,
+    train,
+)
 
 TRIALS_VERSION = 1
 
@@ -286,7 +295,8 @@ def load_dataset(spec: dict) -> Dataset:
     if args.get("task", REGRESSION) not in (REGRESSION, CLASSIFICATION):
         raise ConfigError(f"dataset task must be {REGRESSION!r} or {CLASSIFICATION!r}, "
                           f"got {args['task']!r}")
-    return builders[kind](**args)
+    with building(f"{kind} dataset {args}"):
+        return builders[kind](**args)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +335,8 @@ def trial_setup(dataset: Dataset, hidden_sizes, split, trial_seed: int):
     master = make_rng(trial_seed)
     split_seed, init_seed, shuffle_seed = (int(s) for s in master.integers(0, 2**63, size=3))
     split_ds = split_standardize(dataset, split, seed=split_seed)
-    net = init_network(network_spec_for(dataset, hidden_sizes), make_rng(init_seed))
+    with building(f"network {list(hidden_sizes)}"):
+        net = init_network(network_spec_for(dataset, hidden_sizes), make_rng(init_seed))
     return split_ds, net, shuffle_seed
 
 
@@ -339,13 +350,10 @@ def run_trial(dataset: Dataset, hidden_sizes, entry: OptimizerEntry,
     cfg = replace(train_cfg, seed=shuffle_seed)
 
     started = time.monotonic()
-    net, log = train(net, opt, split_ds, cfg)
-    wall = time.monotonic() - started
-
-    if log.stop_reason == STOP_DIVERGED:
-        metric = math.nan
-    else:
-        metric = evaluate(net, split_ds.test)
+    with building(f"network {list(hidden_sizes)}"):  # train() and evaluate() add workspaces
+        net, log = train(net, opt, split_ds, cfg)
+        wall = time.monotonic() - started
+        metric = math.nan if log.stop_reason == STOP_DIVERGED else evaluate(net, split_ds.test)
 
     if log_path is not None:
         with writing(log_path):
@@ -682,6 +690,15 @@ def save_timings(trials: list[TrialResult], path) -> None:
 
 
 @contextmanager
+def building(what: str):
+    """A MemoryError while building ``what`` is a ConfigError naming it."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(f"{what} does not fit in memory") from exc
+
+
+@contextmanager
 def writing(path):
     """An OSError while creating or writing the output ``path`` is a ConfigError."""
     try:
@@ -728,18 +745,35 @@ def _result_rows(payload, path, columns: dict) -> list[dict]:
 
 def load_trials(path, timings_path=None) -> list[TrialResult]:
     """Read a trials.json, with wall times from ``timings_path`` when that
-    file exists; a missing or malformed file is a ConfigError."""
+    file exists.  A missing or malformed file is a ConfigError, and so is a
+    file ``save_trials`` does not write: an unknown metric, a repeated
+    ``(cell, seed)``, a cell that is not ``<architecture>|<optimizer>``, a
+    negative ``epochs_run`` or an unknown ``stop_reason``."""
     payload = read_json(path, "trials file")
     rows = _result_rows(payload, path, _TRIAL_ROW)
     if payload.get("version") != TRIALS_VERSION:
         raise ConfigError(f"{path}: unsupported trials version {payload.get('version')!r}")
     if not rows:
         raise ConfigError(f"{path} holds no trials")
+    metric_name = _checked(payload.get("metric", METRIC_RMSE), _STR, f"{path}: metric")
+    if metric_name not in (METRIC_RMSE, METRIC_ACCURACY):
+        raise ConfigError(f"{path}: unknown metric {metric_name!r}")
+    seen = set()
+    for i, row in enumerate(rows):
+        where = f"{path}: result row {i} (cell {row['cell']!r}, seed {row['seed']})"
+        if (row["cell"], row["seed"]) in seen:
+            raise ConfigError(f"{where} repeats an earlier row's cell and seed")
+        seen.add((row["cell"], row["seed"]))
+        if row["cell"] != f"{row['architecture']}|{row['optimizer']}":
+            raise ConfigError(f"{where}: the cell is not '<architecture>|<optimizer>'")
+        if row["epochs_run"] < 0:
+            raise ConfigError(f"{where}: negative epochs_run {row['epochs_run']}")
+        if row["stop_reason"] not in (STOP_EARLY, STOP_MAX_EPOCHS, STOP_DIVERGED):
+            raise ConfigError(f"{where}: unknown stop_reason {row['stop_reason']!r}")
     timings = {}
     if timings_path is not None and os.path.exists(timings_path):
         timings = {(row["cell"], row["seed"]): row["wall_time_s"] for row in _result_rows(
             read_json(timings_path, "timings file"), timings_path, _TIMING_ROW)}
-    metric_name = _checked(payload.get("metric", METRIC_RMSE), _STR, f"{path}: metric")
     return sorted((TrialResult(**row, metric_name=metric_name,
                                wall_time_s=timings.get((row["cell"], row["seed"]), math.nan))
                    for row in rows), key=_TRIAL_ORDER)

@@ -137,10 +137,10 @@ class GradientSet:
             self.flat, self.shapes, self.layers = _pack(self.layers)
 
 
-# Row-block height of an evaluation over many rows: each block goes through
-# every layer while its hidden rows are still in cache.  Chosen from a sweep
-# of 64-2048 rows on the benchmark shapes (CHANGES.md): shorter blocks cost
-# more in per-call overhead than they save, taller ones leave the cache.
+# The least row-block height: each block goes through every layer while its
+# hidden rows are still in cache.  Chosen from a sweep of 64-2048 rows on the
+# benchmark shapes (CHANGES.md): shorter blocks cost more in per-call overhead
+# than they save, taller ones leave the cache.
 BLOCK_ROWS = 512
 
 
@@ -157,21 +157,23 @@ class Workspace:
     """Reused buffers for ``forward`` and ``backward`` on one network layout,
     and the cache that ``forward`` returns: one float64 ``block`` holding the
     output rows of every layer and ``grads``, a GradientSet of views laid
-    out as ``Network.flat``.  Each hidden layer has ``block_rows`` rows (all
-    ``rows`` by default, never more), with its ReLU applied in place; the
-    output layer has ``rows`` rows.  A call on up to ``block_rows`` rows uses
-    the first rows of each view; a call on more runs them in blocks of
-    ``block_rows``, each block through every layer, and writes each block's
-    prediction into its place in the output rows.  Every call overwrites
-    what the last one wrote.  ``batch`` is the input of the last one-block
-    forward pass, whose layer outputs are the first rows of ``outputs``; it
-    is None once ``backward`` has consumed that pass, after ``forward``
-    raised, and after a forward over more than one block, whose hidden rows
-    hold only its last block."""
+    out as ``Network.flat``.  ``batch_rows`` is the most rows a caller needs
+    as one block, such as a training batch that ``backward`` follows.  The
+    output layer has ``rows`` rows; each hidden layer has ``block_rows``,
+    ``max(batch_rows, BLOCK_ROWS)`` but never more than ``rows``, with its ReLU
+    applied in place.  A call on up to ``block_rows`` rows uses the first rows
+    of each view; a call on more runs them in blocks of ``block_rows``, each
+    block through every layer, and writes each block's prediction into its
+    place in the output rows.  Every call overwrites what the last one
+    wrote.  ``batch`` is the input of the last one-block forward pass, whose
+    layer outputs are the first rows of ``outputs``; it is None once
+    ``backward`` has consumed that pass, after ``forward`` raised, and after
+    a forward over more than one block, whose hidden rows hold only its last
+    block."""
 
-    def __init__(self, net: Network, rows: int, block_rows: int | None = None):
+    def __init__(self, net: Network, rows: int, batch_rows: int = 0):
         self.rows, self.shapes = rows, net.shapes
-        self.block_rows = rows if block_rows is None else min(block_rows, rows)
+        self.block_rows = min(max(batch_rows, BLOCK_ROWS), rows)
         shapes = workspace_shapes(net.spec, rows, self.block_rows)
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))
         *self.outputs, grad = split_views(self.block, shapes)
@@ -192,17 +194,17 @@ def init_network(spec: NetworkSpec, rng: np.random.Generator) -> Network:
 def forward(net: Network, batch: Matrix,
             workspace: Workspace | None = None) -> tuple[Matrix, Workspace]:
     """Run the network on ``batch`` (rows are samples); returns the prediction,
-    a view into ``workspace`` (or into a new one sized to the batch), and
-    that workspace.  A batch of at most ``workspace.block_rows`` rows leaves
-    the workspace as the cache for ``backward``; a taller one runs in row
-    blocks and leaves no cache, so ``backward`` after it raises ValueError."""
+    a view into ``workspace`` (or into a new one holding the batch as one
+    block), and that workspace.  A batch of at most ``workspace.block_rows``
+    rows leaves the workspace as the cache for ``backward``; a taller one runs
+    in row blocks and leaves no cache, so ``backward`` after it raises ValueError."""
     x = as_matrix(batch)
     if x.shape[1] != net.spec.input_dim:
         raise ShapeError(
             f"batch has {x.shape[1]} features, network expects {net.spec.input_dim}"
         )
     rows = x.shape[0]
-    ws = Workspace(net, rows) if workspace is None else workspace
+    ws = Workspace(net, rows, rows) if workspace is None else workspace
     if ws.shapes != net.shapes or rows > ws.rows:
         raise ShapeError(f"workspace holds {ws.rows} rows of parameter shapes {ws.shapes}, "
                          f"not {rows} rows of {net.shapes}")

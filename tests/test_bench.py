@@ -377,6 +377,33 @@ def test_load_trials_version_check(tmp_path):
         load_trials(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda p: p["results"].append(dict(p["results"][0])),
+                 r"row 2 \(cell '4\|adam', seed 0\) repeats an earlier row's cell and seed",
+                 id="repeated-cell-and-seed"),
+    pytest.param(lambda p: p["results"][0].update(cell="4|sgd"),
+                 r"row 0 \(cell '4\|sgd', seed 0\): the cell is not '<architecture>\|<optimizer>'",
+                 id="cell-not-architecture-and-optimizer"),
+    pytest.param(lambda p: p["results"][1].update(epochs_run=-30),
+                 r"row 1 \(cell '4\|adam', seed 1\): negative epochs_run -30",
+                 id="negative-epochs"),
+    pytest.param(lambda p: p["results"][0].update(stop_reason="finished"),
+                 r"row 0 \(cell '4\|adam', seed 0\): unknown stop_reason 'finished'",
+                 id="unknown-stop-reason"),
+    pytest.param(lambda p: p.update(metric="accuracy!"), "unknown metric 'accuracy!'",
+                 id="unknown-metric"),
+])
+def test_load_trials_refuses_what_save_trials_never_writes(tmp_path, edit, message):
+    path = tmp_path / "trials.json"
+    save_trials([mk("adam", 0, 1.0), mk("adam", 1, 1.1)], path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=message) as info:
+        load_trials(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_save_report_json_and_csv(tmp_path):
     trials = (
         [mk("adam", s, m) for s, m in enumerate([1.0, 1.1, 0.9])]

@@ -1,6 +1,7 @@
 """End-to-end runs of the ``caadam`` command-line interface (in-process)."""
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from caadam import bench
 from caadam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 
 SMALL_CONFIG = {
@@ -484,6 +486,34 @@ def test_failed_dataset_or_architecture_check_leaves_no_output(tmp_path, monkeyp
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == code
     assert not out.exists()
+
+
+def _out_of_memory(builder):
+    """``builder``, with its signature, raising MemoryError."""
+    @functools.wraps(builder)
+    def raising(*args, **kwargs):
+        raise MemoryError
+    return raising
+
+
+# A real allocation past memory can be granted by an operating system that
+# overcommits and then get the process killed, so the builder raises instead.
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+@pytest.mark.parametrize("builder, what", [
+    ("synth_regression", "synth_regression dataset {'n': 120, 'm': 3, "),
+    ("init_network", "network [4]"),
+    ("train", "network [4]"),  # its workspaces
+])
+def test_out_of_memory_is_config_error_naming_what_was_built(tmp_path, monkeypatch, capsys,
+                                                             command, builder, what):
+    monkeypatch.setattr(bench, builder, _out_of_memory(getattr(bench, builder)))
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    args = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if command == "benchmark":
+        args += ["--parallel", "1"]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {what}") and "does not fit in memory" in err
 
 
 def test_csv_dataset_without_path_is_config_error(tmp_path, capsys):

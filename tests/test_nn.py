@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from caadam.errors import NonFiniteError, ShapeError
 from caadam.linalg import make_rng
 from caadam.nn import (
+    BLOCK_ROWS,
     CLASSIFICATION,
     REGRESSION,
     Network,
@@ -281,26 +282,32 @@ def test_blocked_forward_matches_one_block_and_leaves_no_cache(head):
     rng = make_rng(12)
     classes = 3 if head == CLASSIFICATION else 1
     net = init_network(NetworkSpec(4, (7, 5), classes, head), rng)
-    x = rng.normal(size=(23, 4))
-    y = rng.integers(0, classes, size=23) if head == CLASSIFICATION else rng.normal(size=(23, 1))
-    whole, _ = forward(net, x, Workspace(net, rows=23))
-    ws = Workspace(net, rows=23, block_rows=5)  # four blocks of 5 and a remainder of 3
-    assert ws.block_rows == 5
+    rows = 2 * BLOCK_ROWS + 3
+    x = rng.normal(size=(rows, 4))
+    y = (rng.integers(0, classes, size=rows) if head == CLASSIFICATION
+         else rng.normal(size=(rows, 1)))
+    whole, whole_cache = forward(net, x)  # without a workspace, every row is one block
+    assert whole_cache.block_rows == rows
+    ws = Workspace(net, rows)  # two blocks of BLOCK_ROWS and a remainder of 3
+    assert ws.block_rows == BLOCK_ROWS
     # hidden rows for one block, output rows for every row, one gradient vector
-    assert ws.block.size == 5 * (7 + 5) + 23 * classes + net.flat.size
+    assert ws.block.size == BLOCK_ROWS * (7 + 5) + rows * classes + net.flat.size
     pred, cache = forward(net, x, ws)
     assert_array_equal(pred, whole)
     assert np.shares_memory(pred, ws.block)
     assert loss(pred, y, head) == loss(whole, y, head)
     with pytest.raises(ValueError, match="more than one row block"):
         backward(net, cache, y)
+    backward(net, whole_cache, y)  # the one-block pass is a cache
     # a forward of at most one block is the cache for backward, as before
     one, one_cache = forward(net, x[:5])
     expected = backward(net, one_cache, y[:5]).flat
     pred, cache = forward(net, x[:5], ws)
     assert_array_equal(pred, one)
     assert_array_equal(backward(net, cache, y[:5]).flat, expected)
-    assert Workspace(net, rows=3, block_rows=5).block_rows == 3  # never taller than rows
+    # the rows a caller names stay one block; a block is never taller than rows
+    assert Workspace(net, rows, batch_rows=BLOCK_ROWS + 1).block_rows == BLOCK_ROWS + 1
+    assert Workspace(net, rows=3, batch_rows=5).block_rows == 3
 
 
 def test_network_rejects_layers_that_do_not_match_its_spec():

@@ -13,10 +13,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from caadam.data import split_standardize, synth_classification, synth_regression
+from caadam.bench import trial_setup
+from caadam.data import (
+    DEFAULT_SPLIT,
+    benchmark_regression,
+    split_standardize,
+    synth_classification,
+    synth_regression,
+)
 from caadam.errors import ConfigError, DataError
 from caadam.linalg import make_rng
-from caadam.nn import Network, NetworkSpec, init_network
+from caadam.nn import BLOCK_ROWS, Network, NetworkSpec, Workspace, init_network
 from caadam.optim import OptimizerConfig, make_optimizer
 from caadam.train import (
     STOP_DIVERGED,
@@ -195,6 +202,21 @@ def test_train_is_deterministic():
         assert_array_equal(ba, bb)
 
 
+def assert_same_runs_at_block_heights(monkeypatch, heights, split, make_net, cfg):
+    """train() and evaluate() give the same log, weights and test metric from
+    ``make_net()`` whatever the least block height ``nn.BLOCK_ROWS``."""
+    runs = []
+    for block in heights:
+        monkeypatch.setattr(importlib.import_module("caadam.nn"), "BLOCK_ROWS", block)
+        net = make_net()
+        net, log = train(net, make_optimizer(OptimizerConfig("adam"), net), split, cfg)
+        runs.append(([(r.epoch, r.train_loss, r.val_loss, r.lr) for r in log.records],
+                     log.stop_reason, net.flat.copy(), evaluate(net, split.test)))
+    for records, stop, flat, metric in runs[1:]:
+        assert records == runs[0][0] and stop == runs[0][1] and metric == runs[0][3]
+        assert_array_equal(flat, runs[0][2])
+
+
 @pytest.mark.parametrize("task", ["regression", "classification"])
 def test_blocked_evaluation_gives_the_same_log_and_metric(monkeypatch, task):
     if task == "regression":
@@ -203,20 +225,38 @@ def test_blocked_evaluation_gives_the_same_log_and_metric(monkeypatch, task):
         ds, hidden = synth_classification(n=200, m=4, classes=3, seed=3), (8,)
     split = split_standardize(ds, seed=4)
     output = 1 if task == "regression" else 3
-    cfg = TrainConfig(batch_size=16, max_epochs=12, seed=11)
-    runs = []
-    # train() blocks at max(batch_size, BLOCK_ROWS): 128 training rows in one
-    # block, then in blocks of 16 (the batch) and of 20 with a remainder of
-    # 8; evaluate() blocks the 40 test rows at BLOCK_ROWS, down to one row
-    for block in (10**9, 1, 20):
-        monkeypatch.setattr(importlib.import_module("caadam.train"), "BLOCK_ROWS", block)
-        net = init_network(NetworkSpec(4, hidden, output, task), make_rng(5))
-        net, log = train(net, make_optimizer(OptimizerConfig("adam"), net), split, cfg)
-        runs.append(([(r.epoch, r.train_loss, r.val_loss, r.lr) for r in log.records],
-                     log.stop_reason, net.flat.copy(), evaluate(net, split.test)))
-    for records, stop, flat, metric in runs[1:]:
-        assert records == runs[0][0] and stop == runs[0][1] and metric == runs[0][3]
-        assert_array_equal(flat, runs[0][2])
+    # the workspace blocks at max(batch_size, BLOCK_ROWS): 128 training rows
+    # in one block, then in blocks of 16 (the batch) and of 20 with a
+    # remainder of 8; evaluate() blocks the 40 test rows at BLOCK_ROWS, down
+    # to one row
+    assert_same_runs_at_block_heights(
+        monkeypatch, (10**9, 1, 20), split,
+        lambda: init_network(NetworkSpec(4, hidden, output, task), make_rng(5)),
+        TrainConfig(batch_size=16, max_epochs=12, seed=11))
+
+
+# grid-zoo's classification set (perfbench/workloads.py) at grid seed 0
+ZOO_DATASET = dict(n=3000, m=16, classes=6, spread=2.0, seed=0)
+
+
+@pytest.mark.parametrize("zoo, hidden, batch", [
+    (False, (64, 32), 64),  # trial-narrow
+    (False, (256, 128), 512),  # trial-wide
+    (True, (32,), 64),  # grid-zoo
+    (True, (64, 32), 64),  # grid-zoo
+    (False, (), 64),  # no hidden layer
+])
+def test_workspace_block_height_matches_one_block_on_the_benchmark_shapes(
+        monkeypatch, zoo, hidden, batch):
+    ds = synth_classification(**ZOO_DATASET) if zoo else benchmark_regression()
+    split, net, seed = trial_setup(ds, hidden, DEFAULT_SPLIT, 3)
+    # the workspace's own height runs the training split and the test split
+    # in more than one block
+    height = Workspace(net, split.train.n_samples, batch_rows=batch).block_rows
+    assert height == max(batch, BLOCK_ROWS) < split.test.n_samples < split.train.n_samples
+    assert_same_runs_at_block_heights(
+        monkeypatch, (BLOCK_ROWS, 10**9), split, lambda: Network(net.spec, net.layers),
+        TrainConfig(batch_size=batch, max_epochs=2, seed=seed))
 
 
 def test_train_shuffle_seed_changes_trajectory():
