@@ -27,6 +27,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .cores import share_cores
 from .data import (
     DEFAULT_SPLIT,
     Dataset,
@@ -429,37 +430,9 @@ def _log_rows(path) -> list[list]:
 _WORKER_ARGS: list = []
 
 
-def _set_blas_threads(count: int) -> None:
-    """Give the OpenBLAS that NumPy bundles ``count`` threads.  Does nothing
-    when ``OPENBLAS_NUM_THREADS`` is set, or when the library or its
-    ``scipy_openblas_set_num_threads64_`` is missing."""
-    if "OPENBLAS_NUM_THREADS" in os.environ:
-        return
-    import ctypes  # only pool workers need it
-    import glob
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(os.path.normpath(libs),
-                                              "libscipy_openblas64_*.so"))):
-        try:
-            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(count)
-        return
-
-
-def usable_cores() -> int:
-    """The number of cores this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _worker_init(workers: int, *args):
-    """Start a pool worker: its share of the usable cores as BLAS threads
-    (each OpenBLAS thread spins while it waits, so a full-width BLAS in
-    every worker oversubscribes the cores), then the trial arguments."""
-    _set_blas_threads(max(1, usable_cores() // workers))
+    """Start a pool worker: its share of the cores, then the trial arguments."""
+    share_cores(workers)
     _WORKER_ARGS[:] = args
 
 
@@ -486,13 +459,29 @@ def checked_dataset(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Da
     return dataset
 
 
+# The least work for which ``run_experiment`` starts a process pool, in
+# trials x max_epochs x train rows x multiply-adds per row, summed over the
+# grid.  On 2 cores a pool's start-up took about 0.1 s: a grid of 11
+# optimizers x 2 trials on [8] and [8, 4] nets ran in 0.08 s serial and
+# 0.18 s pooled at 1.4e6, and in 0.33 s and 0.29 s at 5.5e6 (CHANGES.md).
+POOL_MIN_WORK = 4_000_000
+
+
+def grid_work(cfg: ExperimentConfig, dataset: Dataset) -> int:
+    """The work of ``cfg``'s grid on ``dataset``, in the units of ``POOL_MIN_WORK``."""
+    rows = split_sizes(dataset.n_samples, cfg.split)[0] * cfg.train.max_epochs
+    return rows * len(cfg.optimizers) * cfg.trials * sum(
+        network_spec_for(dataset, hidden).multiply_adds for hidden in cfg.architectures)
+
+
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
                    workers: int = 1, log_dir=None,
                    progress=None) -> list[TrialResult]:
     """Run the full grid; returns results sorted by (cell, seed).
 
     ``workers > 1`` fans trials out to a process pool of at most one worker
-    per trial; the result list is identical either way.  ``log_dir`` writes
+    per trial, unless the grid's work is below ``POOL_MIN_WORK``; the result
+    list is identical either way.  ``log_dir`` writes
     one loss-curve CSV per trial under
     ``<log_dir>/<arch>__<optimizer>/trial_<seed>.csv``.
     """
@@ -505,7 +494,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
     ]
     initargs = (dataset, cfg.train, cfg.split, log_dir)
     # A fork-started pool starts all its workers at the first submit.
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(tasks)) if grid_work(cfg, dataset) >= POOL_MIN_WORK else 1
     results: list[TrialResult] = []
     with ExitStack() as stack:
         if workers <= 1:
@@ -748,7 +737,8 @@ def load_trials(path, timings_path=None) -> list[TrialResult]:
     file exists.  A missing or malformed file is a ConfigError, and so is a
     file ``save_trials`` does not write: an unknown metric, a repeated
     ``(cell, seed)``, a cell that is not ``<architecture>|<optimizer>``, a
-    negative ``epochs_run`` or an unknown ``stop_reason``."""
+    negative ``epochs_run``, an unknown ``stop_reason``, or a null metric
+    on a trial that did not diverge or a finite one on a trial that did."""
     payload = read_json(path, "trials file")
     rows = _result_rows(payload, path, _TRIAL_ROW)
     if payload.get("version") != TRIALS_VERSION:
@@ -770,6 +760,10 @@ def load_trials(path, timings_path=None) -> list[TrialResult]:
             raise ConfigError(f"{where}: negative epochs_run {row['epochs_run']}")
         if row["stop_reason"] not in (STOP_EARLY, STOP_MAX_EPOCHS, STOP_DIVERGED):
             raise ConfigError(f"{where}: unknown stop_reason {row['stop_reason']!r}")
+        if math.isnan(row["metric"]) != (row["stop_reason"] == STOP_DIVERGED):
+            raise ConfigError(f"{where}: stop_reason {row['stop_reason']!r} with "
+                              f"{'a null' if math.isnan(row['metric']) else 'a finite'} "
+                              "metric; only a diverged trial has a null metric")
     timings = {}
     if timings_path is not None and os.path.exists(timings_path):
         timings = {(row["cell"], row["seed"]): row["wall_time_s"] for row in _result_rows(

@@ -24,6 +24,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import bench
+from .cores import usable_cores
 from .errors import ConfigError, DataError
 from .train import STOP_DIVERGED
 
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--trials", type=int, default=None,
                          help="override trials per cell")
-    p_bench.add_argument("--parallel", type=int, default=bench.usable_cores(),
+    p_bench.add_argument("--parallel", type=int, default=usable_cores(),
                          help="worker processes, at most one per trial "
                               "(default: the usable cores, %(default)s here)")
     p_bench.add_argument("--baseline", default="adam",

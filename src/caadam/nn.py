@@ -49,6 +49,11 @@ class NetworkSpec:
         sizes = (self.input_dim, *self.hidden_sizes, self.output_dim)
         return list(zip(sizes[:-1], sizes[1:]))
 
+    @property
+    def multiply_adds(self) -> int:
+        """Multiply-adds per row of a forward pass: ``sum(fan_in * fan_out)``."""
+        return sum(fan_in * fan_out for fan_in, fan_out in self.layer_dims)
+
 
 def split_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive slices of ``vector`` reshaped to ``shapes``, as views."""
@@ -142,6 +147,10 @@ class GradientSet:
 # benchmark shapes (CHANGES.md): shorter blocks cost more in per-call overhead
 # than they save, taller ones leave the cache.
 BLOCK_ROWS = 512
+# The least height of a forward-only workspace, which computes the epoch-end
+# losses on a helper thread, off the critical path.  On trial-wide's
+# (256, 128) net it kept the speed of 512-row blocks with 1.2 MB less memory.
+FORWARD_BLOCK_ROWS = 128
 
 
 def workspace_shapes(spec: NetworkSpec, rows: int, block_rows: int) -> list[tuple[int, ...]]:
@@ -169,15 +178,20 @@ class Workspace:
     layer outputs are the first rows of ``outputs``; it is None once
     ``backward`` has consumed that pass, after ``forward`` raised, and after
     a forward over more than one block, whose hidden rows hold only its last
-    block."""
+    block.  A workspace with ``backward=False`` serves forward passes alone:
+    its ``grads`` and ``batch`` stay None, and its hidden layers take
+    ``FORWARD_BLOCK_ROWS`` in place of ``BLOCK_ROWS``."""
 
-    def __init__(self, net: Network, rows: int, batch_rows: int = 0):
+    def __init__(self, net: Network, rows: int, batch_rows: int = 0, backward: bool = True):
         self.rows, self.shapes = rows, net.shapes
-        self.block_rows = min(max(batch_rows, BLOCK_ROWS), rows)
-        shapes = workspace_shapes(net.spec, rows, self.block_rows)
+        self.block_rows = min(max(batch_rows, BLOCK_ROWS if backward else FORWARD_BLOCK_ROWS),
+                              rows)
+        shapes = workspace_shapes(net.spec, rows, self.block_rows)[: None if backward else -1]
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))
-        *self.outputs, grad = split_views(self.block, shapes)
-        self.grads = GradientSet(_pairs(split_views(grad, net.shapes)), grad, net.shapes)
+        views = split_views(self.block, shapes)
+        self.outputs = views[: len(net.layers)]
+        self.grads = (GradientSet(_pairs(split_views(views[-1], net.shapes)), views[-1],
+                                  net.shapes) if backward else None)
         self.batch: Matrix | None = None
 
 
@@ -223,7 +237,7 @@ def forward(net: Network, batch: Matrix,
     pred = ws.outputs[-1][:rows]
     if not np.isfinite(pred).all():
         raise NonFiniteError("forward pass produced non-finite activations")
-    if rows <= step:
+    if rows <= step and ws.grads is not None:
         ws.batch = x
     return pred, ws
 
@@ -289,8 +303,9 @@ def backward(net: Network, cache: Workspace, targets) -> GradientSet:
     x = cache.batch
     if x is None:
         raise ValueError("this cache holds no forward pass: it was already consumed by "
-                         "backward, forward raised, or forward ran over more than one row "
-                         "block; run forward again on at most block_rows rows")
+                         "backward, forward raised, forward ran over more than one row "
+                         "block, or the workspace is forward-only; run forward again on "
+                         "at most block_rows rows of a workspace with gradients")
     n = x.shape[0]
     logits = cache.outputs[-1][:n]
     if net.spec.output_head == REGRESSION:
@@ -308,15 +323,20 @@ def backward(net: Network, cache: Workspace, targets) -> GradientSet:
 
     cache.batch = None
     grads = cache.grads
+    last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(net.layers) - 1, -1, -1):
+        for i in range(last, -1, -1):
+            # np.dot gives np.matmul's bits.  It is faster for the output layer's
+            # products on every benchmark shape (2-4x for the error below it), and
+            # slower for a wide hidden layer's (CHANGES.md).
+            product = np.dot if i == last else np.matmul
             dw, db = grads.layers[i]
             rows = cache.outputs[i - 1][:n] if i > 0 else x
-            np.matmul(rows.T, dz, out=dw)
+            product(rows.T, dz, out=dw)
             dz.sum(axis=0, out=db)
             if i > 0:
                 mask = rows > 0.0
-                dz = np.matmul(dz, net.layers[i][0].T, out=rows)
+                dz = product(dz, net.layers[i][0].T, out=rows)
                 dz *= mask
     if not np.isfinite(grads.flat).all():
         raise NonFiniteError("backward pass produced non-finite gradients")

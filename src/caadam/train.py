@@ -16,15 +16,21 @@ from __future__ import annotations
 import csv
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import cores, nn
 from .data import Dataset, SplitDataset
 from .errors import ConfigError, DataError, NonFiniteError
 from .linalg import make_rng
 from .nn import CLASSIFICATION, Network, Workspace, backward, forward, loss
 from .optim import DEFAULT_LR, Optimizer
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 STOP_EARLY = "early_stop"
 STOP_MAX_EPOCHS = "max_epochs"
@@ -138,6 +144,117 @@ def _mean_loss(net: Network, ds: Dataset, workspace: Workspace) -> float:
     return loss(pred, ds.targets, ds.task)
 
 
+def _helper_loss(net: Network, ds: Dataset, workspace: Workspace) -> float:
+    """``_mean_loss`` for the helper thread.  It calls ``caadam.nn`` and not
+    this module's names, which perfbench's tracer wraps with one span stack
+    per process: a call on a second thread would corrupt its spans."""
+    pred, _ = nn.forward(net, ds.features, workspace)
+    return nn.loss(pred, ds.targets, ds.task)
+
+
+class _Settled:
+    """``fn(*args)`` computed at once, read as a Future is: ``result()``
+    returns its value or raises the NonFiniteError it raised."""
+
+    def __init__(self, fn, *args):
+        self._value, self._error = None, None
+        try:
+            self._value = fn(*args)
+        except NonFiniteError as exc:
+            self._error = exc
+
+    def result(self) -> float:
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+# The multiply-adds per row (``NetworkSpec.multiply_adds``) from which the
+# epoch's losses run on a helper thread.  On a narrower net the helper spends
+# its time in Python, not in BLAS calls that release the interpreter lock,
+# and slows the training it overlaps.  A sweep on 2 cores with one BLAS
+# thread (CHANGES.md), trial time with the helper over without: (128, 64)
+# at 9280 multiply-adds 1.19 at batch 64 and 0.82 at 512; (192, 96) at
+# 20064 0.99 and 0.82; (256, 128) at 34944 0.96 and 0.74.
+HELPER_MIN_MULTIPLY_ADDS = 16384
+
+
+def _losses_on_helper(spec) -> bool:
+    """Whether a trial of this network computes its losses on a helper
+    thread: a wide network, and a core that its BLAS leaves idle."""
+    return spec.multiply_adds >= HELPER_MIN_MULTIPLY_ADDS and cores.spare_core()
+
+
+@dataclass
+class _Pending:
+    """An epoch whose losses are not yet in the log: its number, the rate in
+    effect during it, and its validation and train losses as futures."""
+
+    epoch: int
+    lr: float
+    val: Future | _Settled
+    train: Future | _Settled
+    verdict: tuple[bool, bool] | None = None  # (improved, should_stop) once judged
+
+    def judge(self, stopper: EarlyStopper, scheduler: PlateauScheduler) -> bool:
+        """Wait for the validation loss and feed it once to the stopper and,
+        unless that stops, to the scheduler; returns should_stop."""
+        if self.verdict is None:
+            val_loss = self.val.result()
+            self.verdict = stopper.update(val_loss)
+            if not self.verdict[1]:
+                scheduler.update(val_loss)
+        return self.verdict[1]
+
+    def commit(self, log: TrainLog, weights: Network, started: float) -> None:
+        """After ``judge``: wait for the train loss, then log the epoch and,
+        if it improved, ``weights`` (the epoch's) as the best."""
+        train_loss = self.train.result()
+        val_loss = self.val.result()
+        log.records.append(EpochRecord(self.epoch, train_loss, val_loss, self.lr,
+                                       time.monotonic() - started))
+        log.epochs_run = self.epoch
+        if self.verdict[0]:
+            log.best_val_loss = val_loss
+            log.best_weights = weights.copy_weights()
+
+
+class _EpochLosses:
+    """Each epoch's validation and train losses, in that order, from
+    ``weights``: a copy of the network made at the epoch's end.  With a
+    helper they run on one helper thread, with a workspace of its own, while
+    the next epoch trains; without one they run at once on ``workspace``."""
+
+    def __init__(self, net: Network, data: SplitDataset, workspace: Workspace,
+                 helper: bool):
+        self.weights = Network(net.spec, net.layers)
+        self._data = data
+        self._pool = None
+        if helper:
+            from concurrent.futures import ThreadPoolExecutor  # only the helper needs it
+
+            self._pool = ThreadPoolExecutor(1)
+        rows = max(data.train.n_samples, data.validation.n_samples)
+        self._workspace = Workspace(net, rows, backward=False) if helper else workspace
+
+    def start(self, net: Network, epoch: int, lr: float) -> _Pending:
+        """Copy ``net``'s weights and compute, or start computing, their losses."""
+        self.weights.set_weights(net.flat)
+        sets = (self._data.validation, self._data.train)
+        if self._pool is None:
+            val, train_loss = (_Settled(_mean_loss, self.weights, ds, self._workspace)
+                               for ds in sets)
+        else:
+            val, train_loss = (self._pool.submit(_helper_loss, self.weights, ds,
+                                                 self._workspace) for ds in sets)
+        return _Pending(epoch, lr, val, train_loss)
+
+    def close(self) -> None:
+        """Join the helper thread, if there is one."""
+        if self._pool is not None:
+            self._pool.shutdown()
+
+
 def train(net: Network, optimizer: Optimizer, data: SplitDataset,
           cfg: TrainConfig) -> tuple[Network, TrainLog]:
     """Run the full protocol; returns the trained network and its log.
@@ -147,6 +264,12 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
     rolled back to the best validation-loss weights; a run that exhausts
     max_epochs keeps its final weights (the best snapshot stays available
     in the log).
+
+    Epoch ``e``'s losses are read late: its validation loss before the first
+    update of epoch ``e + 1``, whose rate and whose start depend on it, and
+    its train loss at the end of epoch ``e + 1``.  So they can run on a
+    helper thread (``_losses_on_helper``) while the next epoch trains; the
+    log, the weights and the stop are those of reading them at once.
     """
     x_train = data.train.features
     y_train = data.train.targets
@@ -161,35 +284,40 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
     workspace = Workspace(net, max(n, data.validation.n_samples), cfg.batch_size)
     log = TrainLog()
     started = time.monotonic()
+    pending = None  # the last epoch trained, until its losses are logged
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        try:
-            perm = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                pred, cache = forward(net, x_train[idx], workspace)
-                grads = backward(net, cache, y_train[idx])
-                optimizer.step(net, grads, lr=scheduler.lr)
-            train_loss = _mean_loss(net, data.train, workspace)
-            val_loss = _mean_loss(net, data.validation, workspace)
-        except NonFiniteError:
-            log.stop_reason = STOP_DIVERGED
-            break
+    with closing(_EpochLosses(net, data, workspace, _losses_on_helper(net.spec))) as losses:
+        for epoch in range(1, cfg.max_epochs + 1):
+            try:
+                perm = rng.permutation(n)
+                for start in range(0, n, cfg.batch_size):
+                    idx = perm[start : start + cfg.batch_size]
+                    pred, cache = forward(net, x_train[idx], workspace)
+                    grads = backward(net, cache, y_train[idx])
+                    if start == 0 and pending is not None and pending.judge(stopper, scheduler):
+                        break
+                    optimizer.step(net, grads, lr=scheduler.lr)
+                if pending is not None:
+                    if pending.judge(stopper, scheduler):
+                        break
+                    pending.commit(log, losses.weights, started)
+            except NonFiniteError:
+                log.stop_reason = STOP_DIVERGED
+                break
+            pending = losses.start(net, epoch, scheduler.lr)
 
-        log.records.append(EpochRecord(epoch, train_loss, val_loss, scheduler.lr,
-                                       time.monotonic() - started))
-        log.epochs_run = epoch
-
-        improved, should_stop = stopper.update(val_loss)
-        if improved:
-            log.best_val_loss = val_loss
-            log.best_weights = net.copy_weights()
-        if should_stop:
-            log.stop_reason = STOP_EARLY
-            break
-        scheduler.update(val_loss)
-    else:
-        log.stop_reason = STOP_MAX_EPOCHS
+        # The last epoch trained decides the stop: its early stop comes
+        # before a divergence in the epoch after it, and its non-finite loss
+        # is a divergence at that epoch, with the weights it ended with.
+        if pending is not None:
+            try:
+                if pending.judge(stopper, scheduler):
+                    log.stop_reason = STOP_EARLY
+                pending.commit(log, losses.weights, started)
+            except NonFiniteError:
+                log.stop_reason = STOP_DIVERGED
+                if log.best_weights is None:
+                    net.set_weights(losses.weights.flat)
 
     if log.stop_reason in (STOP_EARLY, STOP_DIVERGED) and log.best_weights is not None:
         net.set_weights(log.best_weights)

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from caadam import bench, cores
 from caadam.bench import (
     ExperimentConfig,
     OptimizerEntry,
@@ -48,6 +49,7 @@ from caadam.nn import CLASSIFICATION, REGRESSION
 from caadam.optim import ALGORITHMS, OptimizerConfig, optimizer_class
 from caadam.scaling import ScalingStrategy
 from caadam.train import STOP_DIVERGED, STOP_EARLY, STOP_MAX_EPOCHS, TrainConfig
+from test_cli import SMALL_CONFIG
 
 ADAM = OptimizerEntry("adam", OptimizerConfig("adam"))
 CAADAM_MULT = OptimizerEntry(
@@ -96,7 +98,8 @@ def test_run_experiment_is_deterministic_modulo_wall_time(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_run_experiment_parallel_matches_serial():
+def test_run_experiment_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(bench, "POOL_MIN_WORK", 0)  # a tiny grid runs in-process
     cfg = tiny_config()
     serial = run_experiment(cfg, workers=1)
     parallel = run_experiment(cfg, workers=2)
@@ -125,14 +128,54 @@ class _SerialPool:
         return map(fn, tasks)
 
 
-def test_run_experiment_pool_has_at_most_one_worker_per_trial(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """``_SerialPool`` in place of ProcessPoolExecutor.  Its worker starts in
+    this process, so the worker's share of the cores is undone after the
+    test, and OPENBLAS_NUM_THREADS keeps the worker from setting this
+    process's BLAS threads for every later test."""
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cores, "_worker_share", None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     _SerialPool.sizes = []
+
+
+def test_run_experiment_pool_has_at_most_one_worker_per_trial(monkeypatch, serial_pool):
+    monkeypatch.setattr(bench, "POOL_MIN_WORK", 0)
     cfg = tiny_config()
     pooled, serial = run_experiment(cfg, workers=10**6), run_experiment(cfg)
     assert _SerialPool.sizes == [6]  # 1 arch x 2 optimizers x 3 trials
     assert [replace(r, wall_time_s=0.0) for r in pooled] == \
         [replace(r, wall_time_s=0.0) for r in serial]
+
+
+# grid-zoo's grid (perfbench/workloads.py) at grid seed 7000
+GRID_ZOO = {
+    "dataset": {"kind": "synth_classification", "n": 3000, "m": 16, "classes": 6,
+                "spread": 2.0, "seed": 7000},
+    "architectures": [[32], [64, 32]],
+    "optimizers": [{"algorithm": a} for a in ALGORITHMS if a != "caadam"]
+    + [{"algorithm": "caadam", "scaling": kind}
+       for kind in ("additive", "multiplicative", "depth_based")],
+    "train": {"max_epochs": 40, "early_stop_patience": 40},
+    "trials": 2,
+    "base_seed": 7000,
+}
+
+
+# SMALL_CONFIG is the grid of test_benchmark_writes_all_outputs
+@pytest.mark.parametrize("payload, pooled", [(GRID_ZOO, True), (SMALL_CONFIG, False)],
+                         ids=["grid-zoo", "small"])
+def test_run_experiment_starts_a_pool_only_for_a_grid_worth_one(monkeypatch, serial_pool,
+                                                               payload, pooled):
+    cfg = experiment_from_dict(payload)
+    dataset = load_dataset(cfg.dataset)
+    # every trial is stubbed out: the choice of a pool depends on the grid alone
+    monkeypatch.setattr(bench, "_worker_run",
+                        lambda task, args=None: mk("adam", task[2], 1.0, arch=arch_label(task[0])))
+    assert (bench.grid_work(cfg, dataset) >= bench.POOL_MIN_WORK) == pooled
+    assert len(run_experiment(cfg, dataset, workers=2)) == (44 if pooled else 4)
+    assert _SerialPool.sizes == ([2] if pooled else [])
 
 
 def _openblas_get_threads():
@@ -163,6 +206,7 @@ def test_pool_worker_gets_its_share_of_the_cores_as_blas_threads(monkeypatch, wo
 
 
 def test_pool_worker_keeps_an_explicit_blas_thread_setting(monkeypatch):
+    monkeypatch.setattr(cores, "_worker_share", None)  # the worker starts in this process
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(ctypes, "CDLL", None)  # any attempt to load the library fails
     _worker_init(10**6)
@@ -392,6 +436,14 @@ def test_load_trials_version_check(tmp_path):
                  id="unknown-stop-reason"),
     pytest.param(lambda p: p.update(metric="accuracy!"), "unknown metric 'accuracy!'",
                  id="unknown-metric"),
+    pytest.param(lambda p: p["results"][1].update(metric=None),
+                 r"row 1 \(cell '4\|adam', seed 1\): stop_reason 'early_stop' with a null "
+                 "metric; only a diverged trial has a null metric",
+                 id="null-metric-not-diverged"),
+    pytest.param(lambda p: p["results"][0].update(stop_reason="diverged"),
+                 r"row 0 \(cell '4\|adam', seed 0\): stop_reason 'diverged' with a finite "
+                 "metric; only a diverged trial has a null metric",
+                 id="finite-metric-diverged"),
 ])
 def test_load_trials_refuses_what_save_trials_never_writes(tmp_path, edit, message):
     path = tmp_path / "trials.json"

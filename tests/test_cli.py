@@ -582,6 +582,7 @@ def test_unknown_subcommand_exits_with_usage():
 # that keeps every element's arithmetic keeps trials.json byte-identical.
 # Both golden grids run at the default --parallel, a process pool on a
 # multi-core machine, so their hashes also hold a pooled grid to serial bytes.
+# They are too small to start a pool by themselves (bench.POOL_MIN_WORK).
 GOLDEN_CONFIG = {
     "dataset": {"kind": "synth_regression", "n": 300, "m": 4,
                 "noise_std": 0.3, "seed": 11},
@@ -597,7 +598,8 @@ GOLDEN_CONFIG = {
 GOLDEN_TRIALS_SHA256 = "9dbc26b4b0bf13d64dc6d9f5847d381e312a6cdc4d0c3f387d12e87c11faad7a"
 
 
-def test_benchmark_trials_json_matches_golden_hash(tmp_path):
+def test_benchmark_trials_json_matches_golden_hash(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "POOL_MIN_WORK", 0)
     cfg = write_config(tmp_path, GOLDEN_CONFIG)
     out = tmp_path / "run"
     assert main(["benchmark", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
@@ -620,7 +622,8 @@ GOLDEN_CLASSIFICATION_CONFIG = {
 GOLDEN_CLASSIFICATION_SHA256 = "9d592c9626934693875373ca699f441f9b7983fc27504321b60d0dd43991b195"
 
 
-def test_classification_trials_and_logs_match_golden_hash(tmp_path):
+def test_classification_trials_and_logs_match_golden_hash(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "POOL_MIN_WORK", 0)
     cfg = write_config(tmp_path, GOLDEN_CLASSIFICATION_CONFIG)
     out = tmp_path / "run"
     assert main(["benchmark", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK

@@ -12,6 +12,7 @@ from caadam.linalg import make_rng
 from caadam.nn import (
     BLOCK_ROWS,
     CLASSIFICATION,
+    FORWARD_BLOCK_ROWS,
     REGRESSION,
     Network,
     NetworkSpec,
@@ -308,6 +309,49 @@ def test_blocked_forward_matches_one_block_and_leaves_no_cache(head):
     # the rows a caller names stay one block; a block is never taller than rows
     assert Workspace(net, rows, batch_rows=BLOCK_ROWS + 1).block_rows == BLOCK_ROWS + 1
     assert Workspace(net, rows=3, batch_rows=5).block_rows == 3
+
+
+@pytest.mark.parametrize("head", [REGRESSION, CLASSIFICATION])
+def test_forward_only_workspace_holds_no_gradients_and_leaves_no_cache(head):
+    rng = make_rng(13)
+    classes = 3 if head == CLASSIFICATION else 1
+    net = init_network(NetworkSpec(4, (7, 5), classes, head), rng)
+    rows = 2 * FORWARD_BLOCK_ROWS + 3
+    x = rng.normal(size=(rows, 4))
+    y = (rng.integers(0, classes, size=5) if head == CLASSIFICATION
+         else rng.normal(size=(5, 1)))
+    ws = Workspace(net, rows, backward=False)
+    assert ws.grads is None and ws.block_rows == FORWARD_BLOCK_ROWS < BLOCK_ROWS
+    assert ws.block.size == FORWARD_BLOCK_ROWS * (7 + 5) + rows * classes
+    whole, _ = forward(net, x)
+    assert_array_equal(forward(net, x, ws)[0], whole)
+    pred, cache = forward(net, x[:5], ws)  # one block, and still no cache
+    assert_array_equal(pred, whole[:5])
+    with pytest.raises(ValueError, match="forward-only"):
+        backward(net, cache, y)
+    assert Workspace(net, rows=3, backward=False).block_rows == 3
+
+
+# The products for which backward calls np.dot: the output layer's weight
+# gradient and the error it sends down, as (rows, inputs to the output
+# layer, outputs).  Every benchmark shape's training batch: trial-narrow and
+# trial-wide on 2560 training rows and grid-zoo on 1920 leave no partial
+# batch, so odd row counts stand in for one; (64, 8, 1) is a net with no
+# hidden layer.
+@pytest.mark.parametrize("rows, fan_in, k", [
+    (64, 32, 1), (512, 128, 1), (482, 128, 1), (64, 32, 6), (37, 32, 6), (64, 8, 1)])
+def test_output_layer_products_are_bit_identical_with_dot_and_matmul(rows, fan_in, k):
+    rng = make_rng(rows + fan_in + k)
+    for scale in (1e-3, 1.0, 1e3):
+        below = np.maximum(rng.normal(size=(rows, fan_in)) * scale, 0.0)
+        w = rng.normal(size=(fan_in, k))
+        dz = rng.normal(size=(rows, k)) / rows
+        dz[rng.random(dz.shape) < 0.2] = -0.0
+        for a, b in ((below.T, dz), (dz, w.T)):  # as backward calls them, into out=
+            by_dot, by_matmul = np.empty((2, a.shape[0], b.shape[1]))
+            np.dot(a, b, out=by_dot)
+            np.matmul(a, b, out=by_matmul)
+            assert by_dot.tobytes() == by_matmul.tobytes()
 
 
 def test_network_rejects_layers_that_do_not_match_its_spec():

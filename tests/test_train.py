@@ -8,6 +8,8 @@ classes and the reference never share code.
 import csv
 import importlib
 import math
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +23,11 @@ from caadam.data import (
     synth_classification,
     synth_regression,
 )
-from caadam.errors import ConfigError, DataError
+from caadam.errors import ConfigError, DataError, NonFiniteError
 from caadam.linalg import make_rng
 from caadam.nn import BLOCK_ROWS, Network, NetworkSpec, Workspace, init_network
-from caadam.optim import OptimizerConfig, make_optimizer
+from caadam.optim import ALGORITHMS, OptimizerConfig, make_optimizer
+from caadam.scaling import ScalingStrategy
 from caadam.train import (
     STOP_DIVERGED,
     STOP_EARLY,
@@ -452,3 +455,159 @@ def test_evaluate_rejects_empty_dataset():
     empty.targets = empty.targets[:0]
     with pytest.raises(DataError):
         evaluate(net, empty)
+
+
+# ---------------------------------------------------------------------------
+# epoch-end losses on a helper thread
+
+train_module = importlib.import_module("caadam.train")
+nn_module = importlib.import_module("caadam.nn")
+cores_module = importlib.import_module("caadam.cores")
+
+
+def _optimizer(algorithm, net):
+    scaling = ScalingStrategy("multiplicative") if algorithm == "caadam" else None
+    return make_optimizer(OptimizerConfig(algorithm, scaling=scaling), net)
+
+
+def _raise_at(fn, call: int, count=None):
+    """``fn``, raising NonFiniteError at its ``call``-th call (1-based) that
+    ``count(*args)`` accepts."""
+    seen = [0]
+
+    def wrapped(*args, **kwargs):
+        if count is None or count(*args):
+            seen[0] += 1
+            if seen[0] == call:
+                raise NonFiniteError("injected")
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def _run(monkeypatch, helper, algorithm, cfg, fault=None):
+    """One train() on ``small_problem`` with the losses on a helper thread or
+    not, and ``fault`` (where, epoch) injected; returns every output."""
+    monkeypatch.setattr(train_module, "_losses_on_helper", lambda spec: helper)
+    split, net = small_problem(seed=9)
+    opt = _optimizer(algorithm, net)
+    steps_per_epoch = -(-split.train.n_samples // cfg.batch_size)
+    if fault is not None:
+        where, epoch = fault
+        if where == "step":
+            monkeypatch.setattr(opt, "step", _raise_at(opt.step, (epoch - 1) * steps_per_epoch + 2))
+        else:
+            ds = split.validation if where == "val" else split.train
+            for module in (train_module, nn_module):  # the loop's and the helper's
+                monkeypatch.setattr(module, "loss", _raise_at(
+                    nn_module.loss, epoch, lambda pred, targets, head: targets is ds.targets))
+    threads = threading.active_count()
+    net, log = train(net, opt, split, cfg)
+    assert threading.active_count() == threads
+    monkeypatch.undo()  # the next run patches the real functions again
+    return ([(r.epoch, r.train_loss, r.val_loss, r.lr) for r in log.records], log.stop_reason,
+            log.epochs_run, log.best_val_loss,
+            None if log.best_weights is None else log.best_weights.tolist(), net.flat.tolist())
+
+
+RUN_OUT = TrainConfig(batch_size=32, max_epochs=6, seed=4)
+# min_delta 0.02 stalls within a few epochs: the lr is cut after each stall
+# and training stops after three in a row
+STOP_SOON = TrainConfig(batch_size=32, max_epochs=300, early_stop_patience=3,
+                        early_stop_min_delta=0.02, lr_reduce_patience=1, seed=4)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("cfg, fault", [
+    (RUN_OUT, None),
+    (STOP_SOON, None),
+    *[(RUN_OUT, (where, epoch)) for where in ("step", "val", "train") for epoch in (1, 4)],
+], ids=["max-epochs", "early-stop", "step-1", "step-4", "val-1", "val-4", "train-1", "train-4"])
+def test_losses_on_a_helper_thread_give_the_same_training(monkeypatch, algorithm, cfg, fault):
+    on = _run(monkeypatch, True, algorithm, cfg, fault)
+    off = _run(monkeypatch, False, algorithm, cfg, fault)
+    assert on == off
+    records, stop, epochs_run, best_val, best, flat = off
+    if fault is None and cfg is RUN_OUT:
+        assert stop == STOP_MAX_EPOCHS and epochs_run == 6
+    elif fault is None:
+        assert stop == STOP_EARLY and epochs_run < 300
+        assert len({r[3] for r in records}) > 1  # the lr was cut
+    else:
+        # a divergence in epoch e logs epochs 1..e-1 and keeps their best
+        assert stop == STOP_DIVERGED and epochs_run == len(records) == fault[1] - 1
+        assert (best is None) == (fault[1] == 1)
+        if best is not None:
+            assert flat == best and best_val == min(r[2] for r in records)
+
+
+def test_a_late_train_loss_divergence_leaves_the_epochs_weights(monkeypatch):
+    # the train loss of epoch 1 is read after epoch 2 trained; with no best
+    # to restore, the network holds the weights epoch 1 ended with
+    monkeypatch.setattr(train_module, "_losses_on_helper", lambda spec: True)
+    split, net = small_problem(seed=9)
+    one = Network(net.spec, net.layers)
+    train(one, _optimizer("adam", one), split, replace(RUN_OUT, max_epochs=1))
+    _, _, epochs_run, _, best, flat = _run(monkeypatch, True, "adam", RUN_OUT, ("train", 1))
+    assert epochs_run == 0 and best is None
+    assert flat == one.flat.tolist()
+
+
+def test_helper_thread_computes_the_losses_when_forced_on(monkeypatch):
+    idents = []
+
+    def recorded(*args):
+        idents.append(threading.get_ident())
+        return loss_fn(*args)
+
+    loss_fn = nn_module.loss
+    monkeypatch.setattr(nn_module, "loss", recorded)
+    monkeypatch.setattr(train_module, "_losses_on_helper", lambda spec: True)
+    split, net = small_problem()
+    train(net, _optimizer("adam", net), split, RUN_OUT)
+    assert len(idents) == 2 * RUN_OUT.max_epochs
+    assert threading.get_ident() not in idents
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """A process on 2 cores that is not a pool worker, with ``threads`` BLAS threads."""
+    monkeypatch.setattr(cores_module, "_worker_share", None)
+    monkeypatch.setattr(cores_module, "usable_cores", lambda: 2)
+
+    def blas(threads):
+        monkeypatch.setattr(cores_module, "blas_threads", lambda: threads)
+
+    return blas
+
+
+TRIAL_WIDE = NetworkSpec(8, (256, 128), 1)
+
+
+@pytest.mark.parametrize("spec", [
+    NetworkSpec(8, (64, 32), 1),  # trial-narrow
+    NetworkSpec(16, (32,), 6),  # grid-zoo
+    NetworkSpec(16, (64, 32), 6),  # grid-zoo
+])
+def test_helper_is_off_for_the_narrow_benchmark_shapes(two_cores, spec):
+    two_cores(1)
+    assert not train_module._losses_on_helper(spec)
+
+
+def test_helper_is_on_for_trial_wide_with_one_blas_thread_on_two_cores(two_cores):
+    two_cores(1)
+    assert train_module._losses_on_helper(TRIAL_WIDE)
+
+
+@pytest.mark.parametrize("threads", [2, 3, None])
+def test_helper_is_off_without_a_core_that_blas_leaves_idle(two_cores, threads):
+    two_cores(threads)  # None: the thread count cannot be read
+    assert not train_module._losses_on_helper(TRIAL_WIDE)
+
+
+def test_helper_is_off_in_a_pool_worker(two_cores, monkeypatch):
+    two_cores(1)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # leaves the library alone
+    cores_module.share_cores(2)
+    assert cores_module.trial_cores() == 1
+    assert not train_module._losses_on_helper(TRIAL_WIDE)
