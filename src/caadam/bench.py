@@ -19,7 +19,6 @@ import json
 import math
 import os
 import re
-import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
@@ -40,7 +39,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .linalg import make_rng
-from .nn import CLASSIFICATION, REGRESSION, NetworkSpec, init_network, workspace_shapes
+from .nn import CLASSIFICATION, REGRESSION, Network, NetworkSpec, init_network, workspace_shapes
 from .optim import OptimizerConfig, make_optimizer, optimizer_class
 from .scaling import ScalingStrategy
 from .stats import significance_stars, welch_t_test
@@ -341,38 +340,47 @@ def trial_setup(dataset: Dataset, hidden_sizes, split, trial_seed: int):
     return split_ds, net, shuffle_seed
 
 
-def run_trial(dataset: Dataset, hidden_sizes, entry: OptimizerEntry,
-              train_cfg: TrainConfig, split, trial_seed: int,
-              log_path=None) -> TrialResult:
+def run_trial(dataset: Dataset, hidden_sizes, entry, train_cfg: TrainConfig, split,
+              trial_seed: int, log_path=None):
     """One seeded trial: split, init, train, evaluate on the test split; the
-    loss curve goes to ``log_path`` when given.  ``caadam train`` runs one."""
+    loss curve goes to ``log_path`` when given.  ``caadam train`` runs one.
+
+    ``entry`` may instead be a tuple of OptimizerEntry: the trials of one
+    trial seed, which share the split, the initial weights and the batch
+    order, train as one group (``train``), and return a list of results in
+    their order, each curve going to its path in the tuple ``log_path``."""
+    one = isinstance(entry, OptimizerEntry)
+    entries = (entry,) if one else tuple(entry)
+    log_paths = (log_path,) if one else log_path or (None,) * len(entries)
     split_ds, net, shuffle_seed = trial_setup(dataset, hidden_sizes, split, trial_seed)
-    opt = make_optimizer(entry.config, net)
+    nets = [net] + [Network(net.spec, net.layers) for _ in entries[1:]]
+    opts = [make_optimizer(e.config, member) for e, member in zip(entries, nets)]
     cfg = replace(train_cfg, seed=shuffle_seed)
 
-    started = time.monotonic()
     with building(f"network {list(hidden_sizes)}"):  # train() and evaluate() add workspaces
-        net, log = train(net, opt, split_ds, cfg)
-        wall = time.monotonic() - started
-        metric = math.nan if log.stop_reason == STOP_DIVERGED else evaluate(net, split_ds.test)
+        trained = train(nets, opts, split_ds, cfg)
+        metrics = [math.nan if log.stop_reason == STOP_DIVERGED else evaluate(net, split_ds.test)
+                   for net, log in trained]
 
-    if log_path is not None:
-        with writing(log_path):
-            os.makedirs(os.path.dirname(log_path), exist_ok=True)
-            export_log_csv(log, log_path)
+    for path, (_, log) in zip(log_paths, trained):
+        if path is not None:
+            with writing(path):
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                export_log_csv(log, path)
 
-    return TrialResult(
-        cell=f"{arch_label(hidden_sizes)}|{entry.label}",
+    results = [TrialResult(
+        cell=f"{arch_label(hidden_sizes)}|{e.label}",
         architecture=arch_label(hidden_sizes),
-        optimizer=entry.label,
+        optimizer=e.label,
         seed=trial_seed,
         metric=metric,
         metric_name=_metric_name(dataset.task),
         epochs_run=log.epochs_run,
-        wall_time_s=wall,
+        wall_time_s=log.wall_time_s,
         stop_reason=log.stop_reason,
         best_val_loss=log.best_val_loss,
-    )
+    ) for e, metric, (_, log) in zip(entries, metrics, trained)]
+    return results[0] if one else results
 
 
 def _trial_log_path(log_dir, hidden_sizes, entry_label: str, seed: int):
@@ -436,11 +444,12 @@ def _worker_init(workers: int, *args):
     _WORKER_ARGS[:] = args
 
 
-def _worker_run(task, args=_WORKER_ARGS):
+def _worker_run(task, args=_WORKER_ARGS) -> list[TrialResult]:
     dataset, train_cfg, split, log_dir = args
-    hidden_sizes, entry, trial_seed = task
-    return run_trial(dataset, hidden_sizes, entry, train_cfg, split, trial_seed,
-                     log_path=_trial_log_path(log_dir, hidden_sizes, entry.label, trial_seed))
+    hidden_sizes, entries, trial_seed = task
+    return run_trial(dataset, hidden_sizes, entries, train_cfg, split, trial_seed,
+                     log_path=tuple(_trial_log_path(log_dir, hidden_sizes, e.label, trial_seed)
+                                    for e in entries))
 
 
 # The row order of run_experiment's results and of every trial file.
@@ -479,22 +488,28 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
                    progress=None) -> list[TrialResult]:
     """Run the full grid; returns results sorted by (cell, seed).
 
-    ``workers > 1`` fans trials out to a process pool of at most one worker
-    per trial, unless the grid's work is below ``POOL_MIN_WORK``; the result
-    list is identical either way.  ``log_dir`` writes
+    The trials of one architecture and trial seed train as a group
+    (``run_trial`` with a tuple of entries), one task per group.
+    ``workers > 1`` fans the tasks out to a process pool of at most one
+    worker per task, unless the grid's work is below ``POOL_MIN_WORK``; with
+    fewer groups than workers, each group is split into equal slices of its
+    optimizers, so that every worker has a task.  The result list is
+    identical either way.  ``log_dir`` writes
     one loss-curve CSV per trial under
     ``<log_dir>/<arch>__<optimizer>/trial_<seed>.csv``.
     """
     dataset = checked_dataset(cfg, dataset)
-    tasks = [
-        (hidden, entry, cfg.base_seed + k)
-        for hidden in cfg.architectures
-        for entry in cfg.optimizers
-        for k in range(cfg.trials)
-    ]
+    if grid_work(cfg, dataset) < POOL_MIN_WORK:
+        workers = 1
+    groups = [(hidden, cfg.base_seed + k) for hidden in cfg.architectures
+              for k in range(cfg.trials)]
+    m = len(cfg.optimizers)
+    parts = min(m, -(-workers // len(groups)))
+    tasks = [(hidden, cfg.optimizers[i * m // parts : (i + 1) * m // parts], seed)
+             for hidden, seed in groups for i in range(parts)]
     initargs = (dataset, cfg.train, cfg.split, log_dir)
     # A fork-started pool starts all its workers at the first submit.
-    workers = min(workers, len(tasks)) if grid_work(cfg, dataset) >= POOL_MIN_WORK else 1
+    workers = min(workers, len(tasks))
     results: list[TrialResult] = []
     with ExitStack() as stack:
         if workers <= 1:
@@ -506,10 +521,11 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
                 max_workers=workers, initializer=_worker_init,
                 initargs=(workers, *initargs),
             )).map(_worker_run, tasks)
-        for res in mapped:
-            results.append(res)
-            if progress is not None:
-                progress(res)
+        for group in mapped:
+            for res in group:
+                results.append(res)
+                if progress is not None:
+                    progress(res)
     return sorted(results, key=_TRIAL_ORDER)
 
 

@@ -10,7 +10,15 @@ class ShapeError(CaAdamError):
 
 
 class NonFiniteError(CaAdamError):
-    """A NaN or Inf appeared where only finite values are allowed."""
+    """A NaN or Inf appeared where only finite values are allowed.
+
+    ``members`` holds the indices of the networks whose values were not
+    finite: of the members of a stacked network (``nn.stack``), or ``(0,)``
+    for one network."""
+
+    def __init__(self, message: str = "", members: tuple[int, ...] = (0,)):
+        super().__init__(message)
+        self.members = members
 
 
 class StructureError(CaAdamError):

@@ -10,6 +10,12 @@ Parameters live in one contiguous float64 vector per network, laid out
 W0, b0, W1, b1, ... with each weight matrix row-major; the per-layer
 ``(W, b)`` pairs are views into it.  Gradients and weight snapshots use the
 same layout, so an optimizer updates a whole network with one vector expression.
+
+Networks of one layout can also train as a group (``stack``): their vectors
+become the rows of one ``(K, P)`` array, every per-tensor view gains a
+leading member axis, and ``forward`` and ``backward`` compute all K members
+with one call per product (``np.matmul`` over the member axis).  Each
+member's own ``flat`` is its row, so each member's optimizer steps it alone.
 """
 
 from __future__ import annotations
@@ -56,12 +62,14 @@ class NetworkSpec:
 
 
 def split_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive slices of ``vector`` reshaped to ``shapes``, as views."""
+    """Consecutive slices of ``vector`` reshaped to ``shapes``, as views; the
+    slices of a ``(K, P)`` stack are taken along its rows, with shape ``(K, *shape)``."""
     out = []
     offset = 0
+    lead = vector.shape[:-1]
     for shape in shapes:
         size = math.prod(shape)
-        out.append(vector[offset : offset + size].reshape(shape))
+        out.append(vector[..., offset : offset + size].reshape(lead + tuple(shape)))
         offset += size
     return out
 
@@ -113,6 +121,18 @@ class Network:
         check_shapes(self.shapes, tuple(shape for dims in self.spec.layer_dims
                                         for shape in (dims, dims[1:])), "layer list")
 
+    def adopt(self, flat: np.ndarray) -> None:
+        """Make ``flat`` this network's parameters, without a copy: a vector
+        of ``flat``'s length, or a ``(K, P)`` stack of K members' vectors,
+        whose ``layers`` are (weights (K, fan_in, fan_out), bias (K, 1,
+        fan_out)) views."""
+        if flat.shape[-1:] != self.flat.shape[-1:] or flat.ndim > 2:
+            raise ShapeError(f"parameters of shape {flat.shape} for {self.flat.shape[-1]} "
+                             "per network")
+        self.flat = flat
+        pairs = _pairs(split_views(flat, self.shapes))
+        self.layers = pairs if flat.ndim == 1 else [(w, b[:, None]) for w, b in pairs]
+
     def copy_weights(self) -> np.ndarray:
         """A snapshot of the weights: a copy of ``flat``."""
         return self.flat.copy()
@@ -123,6 +143,20 @@ class Network:
         if np.shape(snapshot) != self.flat.shape:
             raise ShapeError(f"snapshot has shape {np.shape(snapshot)}, not {self.flat.shape}")
         self.flat[...] = snapshot
+
+
+def stack(nets: list[Network]) -> Network:
+    """One network over the parameters of ``nets``, which share a layout:
+    the one network itself, or a new ``(K, P)`` stack holding a copy of each
+    member's weights as its row, with each member's ``flat`` and ``layers``
+    re-pointed to that row.  Training the stack trains every member."""
+    if len(nets) == 1:
+        return nets[0]
+    group = Network(nets[0].spec, nets[0].layers)
+    group.adopt(np.stack([net.flat for net in nets]))
+    for net, row in zip(nets, group.flat):
+        net.adopt(row)
+    return group
 
 
 @dataclass
@@ -142,10 +176,11 @@ class GradientSet:
             self.flat, self.shapes, self.layers = _pack(self.layers)
 
 
-# The least row-block height: each block goes through every layer while its
-# hidden rows are still in cache.  Chosen from a sweep of 64-2048 rows on the
-# benchmark shapes (CHANGES.md): shorter blocks cost more in per-call overhead
-# than they save, taller ones leave the cache.
+# The least row-block height of one network: each block goes through every
+# layer while its hidden rows are still in cache.  Chosen from a sweep of
+# 64-2048 rows on the benchmark shapes (CHANGES.md): shorter blocks cost more
+# in per-call overhead than they save, taller ones leave the cache.  A stack
+# of K networks divides it by K, so its hidden blocks hold no more rows.
 BLOCK_ROWS = 512
 # The least height of a forward-only workspace, which computes the epoch-end
 # losses on a helper thread, off the critical path.  On trial-wide's
@@ -166,11 +201,14 @@ class Workspace:
     """Reused buffers for ``forward`` and ``backward`` on one network layout,
     and the cache that ``forward`` returns: one float64 ``block`` holding the
     output rows of every layer and ``grads``, a GradientSet of views laid
-    out as ``Network.flat``.  ``batch_rows`` is the most rows a caller needs
+    out as ``Network.flat``.  For a stack of K networks every buffer has a
+    leading member axis ``lead == (K,)`` (``()`` for one network), and
+    ``member_grads`` holds each member's GradientSet, a row of ``grads``.
+    ``batch_rows`` is the most rows a caller needs
     as one block, such as a training batch that ``backward`` follows.  The
     output layer has ``rows`` rows; each hidden layer has ``block_rows``,
-    ``max(batch_rows, BLOCK_ROWS)`` but never more than ``rows``, with its ReLU
-    applied in place.  A call on up to ``block_rows`` rows uses the first rows
+    ``max(batch_rows, BLOCK_ROWS // K)`` but never more than ``rows``, with
+    its ReLU applied in place.  A call on up to ``block_rows`` rows uses the first rows
     of each view; a call on more runs them in blocks of ``block_rows``, each
     block through every layer, and writes each block's prediction into its
     place in the output rows.  Every call overwrites what the last one
@@ -179,20 +217,37 @@ class Workspace:
     ``backward`` has consumed that pass, after ``forward`` raised, and after
     a forward over more than one block, whose hidden rows hold only its last
     block.  A workspace with ``backward=False`` serves forward passes alone:
-    its ``grads`` and ``batch`` stay None, and its hidden layers take
-    ``FORWARD_BLOCK_ROWS`` in place of ``BLOCK_ROWS``."""
+    its ``grads``, ``member_grads`` and ``batch`` stay None, and its hidden
+    layers take ``FORWARD_BLOCK_ROWS`` in place of ``BLOCK_ROWS``."""
 
     def __init__(self, net: Network, rows: int, batch_rows: int = 0, backward: bool = True):
-        self.rows, self.shapes = rows, net.shapes
-        self.block_rows = min(max(batch_rows, BLOCK_ROWS if backward else FORWARD_BLOCK_ROWS),
-                              rows)
-        shapes = workspace_shapes(net.spec, rows, self.block_rows)[: None if backward else -1]
+        self.rows, self.shapes, self.lead = rows, net.shapes, net.flat.shape[:-1]
+        least = (BLOCK_ROWS if backward else FORWARD_BLOCK_ROWS) // math.prod(self.lead)
+        self.block_rows = min(max(batch_rows, least), rows)
+        shapes = [self.lead + shape for shape in
+                  workspace_shapes(net.spec, rows, self.block_rows)[: None if backward else -1]]
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))
         views = split_views(self.block, shapes)
         self.outputs = views[: len(net.layers)]
-        self.grads = (GradientSet(_pairs(split_views(views[-1], net.shapes)), views[-1],
-                                  net.shapes) if backward else None)
+        self.grads = self.member_grads = None
+        if backward:
+            self.grads = _gradient_set(views[-1], net.shapes)
+            self.member_grads = ([_gradient_set(row, net.shapes) for row in views[-1]]
+                                 if self.lead else [self.grads])
         self.batch: Matrix | None = None
+
+
+def _gradient_set(flat: np.ndarray, shapes: tuple) -> GradientSet:
+    """A GradientSet of views into ``flat``, a vector or a (K, P) stack."""
+    return GradientSet(_pairs(split_views(flat, shapes)), flat, shapes)
+
+
+def _non_finite(values: np.ndarray, stacked: bool, message: str) -> NonFiniteError:
+    """The NonFiniteError for ``values``, naming the members whose values
+    (a leading member axis when ``stacked``) are not all finite."""
+    members = (tuple(int(k) for k in np.flatnonzero(
+        ~np.isfinite(values.reshape(len(values), -1)).all(axis=1))) if stacked else (0,))
+    return NonFiniteError(message, members=members)
 
 
 def init_network(spec: NetworkSpec, rng: np.random.Generator) -> Network:
@@ -211,7 +266,10 @@ def forward(net: Network, batch: Matrix,
     a view into ``workspace`` (or into a new one holding the batch as one
     block), and that workspace.  A batch of at most ``workspace.block_rows``
     rows leaves the workspace as the cache for ``backward``; a taller one runs
-    in row blocks and leaves no cache, so ``backward`` after it raises ValueError."""
+    in row blocks and leaves no cache, so ``backward`` after it raises ValueError.
+    A stack of K networks gives a (K, rows, outputs) prediction; a non-finite
+    one raises NonFiniteError naming its members, after every member's
+    prediction is written."""
     x = as_matrix(batch)
     if x.shape[1] != net.spec.input_dim:
         raise ShapeError(
@@ -219,9 +277,10 @@ def forward(net: Network, batch: Matrix,
         )
     rows = x.shape[0]
     ws = Workspace(net, rows, rows) if workspace is None else workspace
-    if ws.shapes != net.shapes or rows > ws.rows:
-        raise ShapeError(f"workspace holds {ws.rows} rows of parameter shapes {ws.shapes}, "
-                         f"not {rows} rows of {net.shapes}")
+    if ws.shapes != net.shapes or rows > ws.rows or ws.lead != net.flat.shape[:-1]:
+        raise ShapeError(f"workspace holds {ws.rows} rows of parameter shapes {ws.shapes} "
+                         f"for {ws.lead or 'one'} networks, not {rows} rows of {net.shapes} "
+                         f"for {net.flat.shape[:-1] or 'one'}")
     ws.batch = None
     step = ws.block_rows
     last = len(net.layers) - 1
@@ -230,13 +289,14 @@ def forward(net: Network, batch: Matrix,
             h = x[start : start + step]
             end = start + h.shape[0]
             for i, ((w, b), out) in enumerate(zip(net.layers, ws.outputs)):
-                h = np.matmul(h, w, out=out[start:end] if i == last else out[: end - start])
+                h = np.matmul(h, w, out=out[..., start:end, :] if i == last
+                              else out[..., : end - start, :])
                 h += b
                 if i < last:
                     np.maximum(h, 0.0, out=h)
-    pred = ws.outputs[-1][:rows]
+    pred = ws.outputs[-1][..., :rows, :]
     if not np.isfinite(pred).all():
-        raise NonFiniteError("forward pass produced non-finite activations")
+        raise _non_finite(pred, bool(ws.lead), "forward pass produced non-finite activations")
     if rows <= step and ws.grads is not None:
         ws.batch = x
     return pred, ws
@@ -244,8 +304,8 @@ def forward(net: Network, batch: Matrix,
 
 def softmax(logits: Matrix) -> Matrix:
     """Row-wise softmax, stabilized by max subtraction."""
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    e /= e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -296,7 +356,9 @@ def backward(net: Network, cache: Workspace, targets) -> GradientSet:
     the gradients go into its ``grads``, which this returns.  Each hidden
     layer's error overwrites that layer's output rows after its ReLU mask is
     read from them, so a forward pass serves one ``backward`` call; the
-    prediction survives.
+    prediction survives.  On a stack each member's gradients are those of
+    the member alone, and non-finite ones raise NonFiniteError naming their
+    members.
     """
     if cache.shapes != net.shapes:
         raise ShapeError(f"cache holds parameter shapes {cache.shapes}, not {net.shapes}")
@@ -307,37 +369,39 @@ def backward(net: Network, cache: Workspace, targets) -> GradientSet:
                          "block, or the workspace is forward-only; run forward again on "
                          "at most block_rows rows of a workspace with gradients")
     n = x.shape[0]
-    logits = cache.outputs[-1][:n]
+    logits = cache.outputs[-1][..., :n, :]
     if net.spec.output_head == REGRESSION:
         y = as_matrix(targets)
-        if y.shape != logits.shape:
-            raise ShapeError(f"prediction {logits.shape} vs targets {y.shape}")
+        if y.shape != logits.shape[-2:]:
+            raise ShapeError(f"prediction {logits.shape[-2:]} vs targets {y.shape}")
         dz = np.subtract(logits, y)
         dz *= 2.0
-        dz /= logits.size
+        dz /= y.size
     else:
-        idx = _class_indices(targets, n, logits.shape[1])
+        idx = _class_indices(targets, n, logits.shape[-1])
         dz = softmax(logits)
-        dz[np.arange(n), idx] -= 1.0
+        dz[..., np.arange(n), idx] -= 1.0
         dz /= n
 
     cache.batch = None
     grads = cache.grads
+    stacked = bool(cache.lead)
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(last, -1, -1):
             # np.dot gives np.matmul's bits.  It is faster for the output layer's
             # products on every benchmark shape (2-4x for the error below it), and
-            # slower for a wide hidden layer's (CHANGES.md).
-            product = np.dot if i == last else np.matmul
+            # slower for a wide hidden layer's (CHANGES.md).  On a stack it
+            # would contract across members, so a stack uses np.matmul.
+            product = np.dot if i == last and not stacked else np.matmul
             dw, db = grads.layers[i]
-            rows = cache.outputs[i - 1][:n] if i > 0 else x
-            product(rows.T, dz, out=dw)
-            dz.sum(axis=0, out=db)
+            rows = cache.outputs[i - 1][..., :n, :] if i > 0 else x
+            product(rows.swapaxes(-1, -2), dz, out=dw)
+            dz.sum(axis=-2, out=db)
             if i > 0:
                 mask = rows > 0.0
-                dz = product(dz, net.layers[i][0].T, out=rows)
+                dz = product(dz, net.layers[i][0].swapaxes(-1, -2), out=rows)
                 dz *= mask
     if not np.isfinite(grads.flat).all():
-        raise NonFiniteError("backward pass produced non-finite gradients")
+        raise _non_finite(grads.flat, stacked, "backward pass produced non-finite gradients")
     return grads

@@ -6,7 +6,9 @@ by more than ``min_delta``.  Their counters are independent — a learning
 rate reduction does not reset the early-stopping counter, and vice versa.
 
 The loop is deterministic given the config seed: batch order comes from a
-seeded per-epoch shuffle and the final partial batch is always used.  Every
+seeded per-epoch shuffle and the final partial batch is always used.
+Networks that share a layout and a seed can train as one group, in
+lockstep, each with the log and the weights it would get alone.  Every
 epoch's record stores the learning rate that was in effect during that
 epoch, so the logged sequence is non-increasing.
 """
@@ -26,7 +28,7 @@ from . import cores, nn
 from .data import Dataset, SplitDataset
 from .errors import ConfigError, DataError, NonFiniteError
 from .linalg import make_rng
-from .nn import CLASSIFICATION, Network, Workspace, backward, forward, loss
+from .nn import CLASSIFICATION, Network, Workspace, backward, forward, loss, stack
 from .optim import DEFAULT_LR, Optimizer
 
 if TYPE_CHECKING:
@@ -114,7 +116,7 @@ class EpochRecord:
     train_loss: float
     val_loss: float
     lr: float  # rate in effect during this epoch
-    wall_time: float  # cumulative seconds since training started
+    wall_time: float  # cumulative seconds since training (of the group) started
 
 
 @dataclass
@@ -124,6 +126,10 @@ class TrainLog:
     epochs_run: int = 0
     best_val_loss: float = math.inf
     best_weights: np.ndarray | None = None  # a copy of Network.flat
+    # Seconds charged to this network: its optimizer steps, plus an equal
+    # share of each epoch's work that it shared with the other networks of
+    # its group.  The wall times of a group sum to its training time.
+    wall_time_s: float = 0.0
 
 
 # The columns of a loss-curve CSV: the deterministic EpochRecord fields.
@@ -219,35 +225,166 @@ class _Pending:
             log.best_weights = weights.copy_weights()
 
 
-class _EpochLosses:
-    """Each epoch's validation and train losses, in that order, from
-    ``weights``: a copy of the network made at the epoch's end.  With a
-    helper they run on one helper thread, with a workspace of its own, while
-    the next epoch trains; without one they run at once on ``workspace``."""
+class _Member:
+    """One network of a group and its own protocol: optimizer, stopper,
+    scheduler, log, its last epoch's losses (``pending``) and ``weights``, a
+    copy of the network made at that epoch's end, which they are the losses of."""
 
-    def __init__(self, net: Network, data: SplitDataset, workspace: Workspace,
-                 helper: bool):
+    def __init__(self, net: Network, optimizer: Optimizer, cfg: TrainConfig):
+        self.net, self.optimizer = net, optimizer
+        self.stopper = EarlyStopper(cfg.early_stop_patience, cfg.early_stop_min_delta)
+        self.scheduler = PlateauScheduler(cfg.initial_lr, cfg.lr_reduce_factor,
+                                          cfg.lr_reduce_patience, cfg.early_stop_min_delta,
+                                          cfg.min_lr)
+        self.log = TrainLog()
         self.weights = Network(net.spec, net.layers)
-        self._data = data
-        self._pool = None
+        self.pending: _Pending | None = None
+        self.grads = None  # its row of the group's gradients
+
+    def finish(self, started: float) -> None:
+        """End training, as a lone network's last epoch decides: its early
+        stop comes before a divergence in the epoch after it, and its
+        non-finite loss is a divergence at that epoch, with the weights it
+        ended with.  An early stop or a divergence restores the best weights."""
+        log = self.log
+        if self.pending is not None:
+            try:
+                if self.pending.judge(self.stopper, self.scheduler):
+                    log.stop_reason = STOP_EARLY
+                self.pending.commit(log, self.weights, started)
+            except NonFiniteError:
+                log.stop_reason = STOP_DIVERGED
+                if log.best_weights is None:
+                    self.net.set_weights(self.weights.flat)
+        if log.stop_reason in (STOP_EARLY, STOP_DIVERGED) and log.best_weights is not None:
+            self.net.set_weights(log.best_weights)
+
+
+class _Group:
+    """The members still training, stacked (``nn.stack``) so that one
+    ``forward`` and one ``backward`` per batch serve them all, with the
+    workspaces and the helper thread that they share, and the clock that
+    splits the group's time among them."""
+
+    def __init__(self, members: list[_Member], data: SplitDataset, batch_size: int,
+                 helper: bool, started: float):
+        self.live, self.data, self.batch_size = list(members), data, batch_size
+        self.rows = max(data.train.n_samples, data.validation.n_samples)
+        self._pool = self._helper_ws = None
         if helper:
             from concurrent.futures import ThreadPoolExecutor  # only the helper needs it
 
             self._pool = ThreadPoolExecutor(1)
-        rows = max(data.train.n_samples, data.validation.n_samples)
-        self._workspace = Workspace(net, rows, backward=False) if helper else workspace
+            self._helper_ws = Workspace(members[0].net, self.rows, backward=False)
+        self._restack()
+        self._mark, self._stepping, self._owners = started, 0.0, self.live
+        self.started = started
 
-    def start(self, net: Network, epoch: int, lr: float) -> _Pending:
-        """Copy ``net``'s weights and compute, or start computing, their losses."""
-        self.weights.set_weights(net.flat)
-        sets = (self._data.validation, self._data.train)
+    def _restack(self) -> None:
+        """Stack the live members and give them workspaces.  A stack's
+        workspace holds one batch; the losses run member by member on a
+        workspace of one network that blocks its rows as one trial does, so
+        every member's numbers are those of training alone."""
+        nets = [m.net for m in self.live]
+        self.net = stack(nets)
+        one = len(nets) == 1
+        self.workspace = Workspace(self.net, self.rows if one else min(
+            self.batch_size, self.data.train.n_samples), self.batch_size)
+        for member, grads in zip(self.live, self.workspace.member_grads):
+            member.grads = grads
+        self.eval_ws = self._helper_ws or (self.workspace if one else
+                                           Workspace(nets[0], self.rows, self.batch_size))
+
+    def leave(self, members: list[_Member], reason: str | None = None) -> None:
+        """Take ``members`` out of the stack, with their own copy of their
+        weights, and end their training (``_Member.finish``); ``reason`` is
+        their stop reason, if known."""
+        if not members:
+            return
+        for member in members:
+            if self.net is not member.net:
+                member.net.adopt(member.net.flat.copy())
+            if reason is not None:
+                member.log.stop_reason = reason
+            member.finish(self.started)
+        gone = {id(m) for m in members}
+        self.live = [m for m in self.live if id(m) not in gone]
+        if self.live:
+            self._restack()
+
+    def forward_backward(self, batch, targets) -> bool:
+        """Every live member's gradients on one batch, in its ``grads``.  A
+        member whose forward or backward pass is non-finite diverges, and
+        the others compute the batch again; returns whether any is left."""
+        while self.live:
+            try:
+                _, cache = forward(self.net, batch, self.workspace)
+                backward(self.net, cache, targets)
+                return True
+            except NonFiniteError as exc:
+                self.leave([self.live[k] for k in exc.members], STOP_DIVERGED)
+        return False
+
+    def step(self, first: bool) -> None:
+        """Each live member's optimizer step, after the first batch of an
+        epoch reads the last epoch's validation loss; a member that stops
+        there or whose step is non-finite leaves the group."""
+        stopped, diverged = [], []
+        for member in self.live:
+            try:
+                if first and member.pending is not None and member.pending.judge(
+                        member.stopper, member.scheduler):
+                    stopped.append(member)
+                    continue
+                began = time.monotonic()
+                try:
+                    member.optimizer.step(member.net, member.grads, lr=member.scheduler.lr)
+                finally:
+                    spent = time.monotonic() - began
+                    member.log.wall_time_s += spent
+                    self._stepping += spent
+            except NonFiniteError:
+                diverged.append(member)
+        self.leave(stopped)
+        self.leave(diverged, STOP_DIVERGED)
+
+    def end_epoch(self, epoch: int) -> None:
+        """Log the last epoch's losses, then start computing this epoch's:
+        validation losses first, since the next epoch's first step needs them."""
+        stopped, diverged = [], []
+        for member in self.live:
+            if member.pending is None:
+                continue
+            try:
+                if member.pending.judge(member.stopper, member.scheduler):
+                    stopped.append(member)
+                    continue
+                member.pending.commit(member.log, member.weights, self.started)
+            except NonFiniteError:
+                diverged.append(member)
+        self.leave(stopped)
+        self.leave(diverged, STOP_DIVERGED)
+        for member in self.live:
+            member.weights.set_weights(member.net.flat)
+        val = [self._loss(m.weights, self.data.validation) for m in self.live]
+        train_loss = [self._loss(m.weights, self.data.train) for m in self.live]
+        for member, v, t in zip(self.live, val, train_loss):
+            member.pending = _Pending(epoch, member.scheduler.lr, v, t)
+
+    def _loss(self, weights: Network, ds: Dataset) -> Future | _Settled:
         if self._pool is None:
-            val, train_loss = (_Settled(_mean_loss, self.weights, ds, self._workspace)
-                               for ds in sets)
-        else:
-            val, train_loss = (self._pool.submit(_helper_loss, self.weights, ds,
-                                                 self._workspace) for ds in sets)
-        return _Pending(epoch, lr, val, train_loss)
+            return _Settled(_mean_loss, weights, ds, self.eval_ws)
+        return self._pool.submit(_helper_loss, weights, ds, self.eval_ws)
+
+    def charge(self) -> None:
+        """Split the time since the last charge among the members live at
+        that charge: each has had its own steps charged already, and takes
+        an equal share of the rest.  Then start the next share."""
+        now = time.monotonic()
+        share = (now - self._mark - self._stepping) / len(self._owners)
+        for member in self._owners:
+            member.log.wall_time_s += share
+        self._mark, self._stepping, self._owners = now, 0.0, self.live
 
     def close(self) -> None:
         """Join the helper thread, if there is one."""
@@ -255,8 +392,8 @@ class _EpochLosses:
             self._pool.shutdown()
 
 
-def train(net: Network, optimizer: Optimizer, data: SplitDataset,
-          cfg: TrainConfig) -> tuple[Network, TrainLog]:
+def train(net: Network | list[Network], optimizer: Optimizer | list[Optimizer],
+          data: SplitDataset, cfg: TrainConfig):
     """Run the full protocol; returns the trained network and its log.
 
     Stops on early-stopping patience, the epoch cap, or divergence (any
@@ -265,63 +402,57 @@ def train(net: Network, optimizer: Optimizer, data: SplitDataset,
     max_epochs keeps its final weights (the best snapshot stays available
     in the log).
 
+    ``net`` and ``optimizer`` may instead be equal-length lists: a group of
+    networks of one layout that train in lockstep on one batch order, with
+    one stacked forward and backward pass per batch (``nn.stack``).  Each
+    keeps its own optimizer, protocol and log and leaves the group where it
+    would stop alone, so each gets the log and weights of training alone;
+    the result is a list of (network, log) pairs.  A lone network trains as
+    a group of one.  ``TrainLog.wall_time_s`` splits the group's time.
+
     Epoch ``e``'s losses are read late: its validation loss before the first
     update of epoch ``e + 1``, whose rate and whose start depend on it, and
     its train loss at the end of epoch ``e + 1``.  So they can run on a
     helper thread (``_losses_on_helper``) while the next epoch trains; the
     log, the weights and the stop are those of reading them at once.
     """
+    if isinstance(net, Network):
+        ((net, log),) = _train_group([net], [optimizer], data, cfg)
+        return net, log
+    return _train_group(list(net), list(optimizer), data, cfg)
+
+
+def _train_group(nets: list[Network], optimizers: list[Optimizer], data: SplitDataset,
+                 cfg: TrainConfig) -> list[tuple[Network, TrainLog]]:
+    started = time.monotonic()
+    if not nets or len(nets) != len(optimizers):
+        raise ValueError(f"a group needs one optimizer per network, got {len(optimizers)} "
+                         f"for {len(nets)}")
     x_train = data.train.features
     y_train = data.train.targets
     n = x_train.shape[0]
-
-    stopper = EarlyStopper(cfg.early_stop_patience, cfg.early_stop_min_delta)
-    scheduler = PlateauScheduler(cfg.initial_lr, cfg.lr_reduce_factor,
-                                 cfg.lr_reduce_patience, cfg.early_stop_min_delta,
-                                 cfg.min_lr)
     rng = make_rng(cfg.seed)
-    # Shared by every call below: each result is used before the next call.
-    workspace = Workspace(net, max(n, data.validation.n_samples), cfg.batch_size)
-    log = TrainLog()
-    started = time.monotonic()
-    pending = None  # the last epoch trained, until its losses are logged
+    members = [_Member(net, opt, cfg) for net, opt in zip(nets, optimizers)]
 
-    with closing(_EpochLosses(net, data, workspace, _losses_on_helper(net.spec))) as losses:
+    with closing(_Group(members, data, cfg.batch_size, _losses_on_helper(nets[0].spec),
+                        started)) as group:
         for epoch in range(1, cfg.max_epochs + 1):
-            try:
-                perm = rng.permutation(n)
-                for start in range(0, n, cfg.batch_size):
-                    idx = perm[start : start + cfg.batch_size]
-                    pred, cache = forward(net, x_train[idx], workspace)
-                    grads = backward(net, cache, y_train[idx])
-                    if start == 0 and pending is not None and pending.judge(stopper, scheduler):
-                        break
-                    optimizer.step(net, grads, lr=scheduler.lr)
-                if pending is not None:
-                    if pending.judge(stopper, scheduler):
-                        break
-                    pending.commit(log, losses.weights, started)
-            except NonFiniteError:
-                log.stop_reason = STOP_DIVERGED
+            if not group.live:
                 break
-            pending = losses.start(net, epoch, scheduler.lr)
-
-        # The last epoch trained decides the stop: its early stop comes
-        # before a divergence in the epoch after it, and its non-finite loss
-        # is a divergence at that epoch, with the weights it ended with.
-        if pending is not None:
-            try:
-                if pending.judge(stopper, scheduler):
-                    log.stop_reason = STOP_EARLY
-                pending.commit(log, losses.weights, started)
-            except NonFiniteError:
-                log.stop_reason = STOP_DIVERGED
-                if log.best_weights is None:
-                    net.set_weights(losses.weights.flat)
-
-    if log.stop_reason in (STOP_EARLY, STOP_DIVERGED) and log.best_weights is not None:
-        net.set_weights(log.best_weights)
-    return net, log
+            if epoch > 1:
+                group.charge()
+            perm = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                if not group.forward_backward(x_train[idx], y_train[idx]):
+                    break
+                group.step(first=start == 0)
+                if not group.live:
+                    break
+            group.end_epoch(epoch)
+        group.leave(group.live)
+        group.charge()
+    return [(m.net, m.log) for m in members]
 
 
 def evaluate(net: Network, ds: Dataset) -> float:

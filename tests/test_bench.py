@@ -144,7 +144,9 @@ def test_run_experiment_pool_has_at_most_one_worker_per_trial(monkeypatch, seria
     monkeypatch.setattr(bench, "POOL_MIN_WORK", 0)
     cfg = tiny_config()
     pooled, serial = run_experiment(cfg, workers=10**6), run_experiment(cfg)
-    assert _SerialPool.sizes == [6]  # 1 arch x 2 optimizers x 3 trials
+    # a task per (arch, seed) group, each split in two slices of one
+    # optimizer for the many workers: 1 arch x 3 trials x 2 slices
+    assert _SerialPool.sizes == [6]
     assert [replace(r, wall_time_s=0.0) for r in pooled] == \
         [replace(r, wall_time_s=0.0) for r in serial]
 
@@ -171,11 +173,34 @@ def test_run_experiment_starts_a_pool_only_for_a_grid_worth_one(monkeypatch, ser
     cfg = experiment_from_dict(payload)
     dataset = load_dataset(cfg.dataset)
     # every trial is stubbed out: the choice of a pool depends on the grid alone
-    monkeypatch.setattr(bench, "_worker_run",
-                        lambda task, args=None: mk("adam", task[2], 1.0, arch=arch_label(task[0])))
+    monkeypatch.setattr(bench, "_worker_run", lambda task, args=None: [
+        mk(entry.label, task[2], 1.0, arch=arch_label(task[0])) for entry in task[1]])
     assert (bench.grid_work(cfg, dataset) >= bench.POOL_MIN_WORK) == pooled
     assert len(run_experiment(cfg, dataset, workers=2)) == (44 if pooled else 4)
     assert _SerialPool.sizes == ([2] if pooled else [])
+
+
+@pytest.mark.parametrize("workers, tasks", [(1, 2), (2, 2), (3, 4), (4, 4), (5, 6)])
+def test_run_experiment_splits_groups_so_that_every_worker_has_a_task(
+        monkeypatch, serial_pool, workers, tasks):
+    # 1 architecture x 2 trial seeds: 2 groups of 3 optimizers
+    monkeypatch.setattr(bench, "POOL_MIN_WORK", 0)
+    cfg = tiny_config(optimizers=(ADAM, CAADAM_MULT, OptimizerEntry("sgd", OptimizerConfig("sgd"))),
+                      trials=2)
+    seen = []
+
+    def recorded(task, args=None):
+        seen.append((task[2], [entry.label for entry in task[1]]))
+        return [mk(entry.label, task[2], 1.0) for entry in task[1]]
+
+    monkeypatch.setattr(bench, "_worker_run", recorded)
+    assert len(run_experiment(cfg, workers=workers)) == 6
+    assert len(seen) == tasks
+    assert _SerialPool.sizes == ([] if workers == 1 else [min(workers, tasks)])
+    for seed in (100, 101):  # each group's slices hold its optimizers once, nearly equally
+        slices = [labels for s, labels in seen if s == seed]
+        assert sum(slices, []) == ["adam", "caadam-multiplicative", "sgd"]
+        assert max(map(len, slices)) - min(map(len, slices)) <= 1
 
 
 def _openblas_get_threads():
@@ -265,6 +290,25 @@ def test_run_trial_divergence_yields_nan_metric():
     res = run_trial(ds, (4,), sgd, wild, DEFAULT_SPLIT, 7)
     assert res.stop_reason == STOP_DIVERGED
     assert math.isnan(res.metric)
+
+
+def test_run_trial_of_a_tuple_of_entries_gives_each_entrys_own_trial(tmp_path):
+    ds = synth_regression(n=120, m=3, seed=5)
+    sgd = OptimizerEntry("sgd", OptimizerConfig("sgd"))
+    steep = TrainConfig(batch_size=32, max_epochs=3, initial_lr=1.0)  # sgd diverges in epoch 3
+    entries = (ADAM, sgd, CAADAM_MULT)
+    paths = tuple(str(tmp_path / "group" / f"{e.label}.csv") for e in entries)
+    group = run_trial(ds, (4,), entries, steep, DEFAULT_SPLIT, 7, log_path=paths)
+    assert [(r.stop_reason, r.epochs_run) for r in group] == [
+        (STOP_MAX_EPOCHS, 3), (STOP_DIVERGED, 2), (STOP_MAX_EPOCHS, 3)]
+    for entry, result, path in zip(entries, group, paths):
+        alone_path = str(tmp_path / "alone" / f"{entry.label}.csv")
+        alone = run_trial(ds, (4,), entry, steep, DEFAULT_SPLIT, 7, log_path=alone_path)
+        assert replace(result, wall_time_s=0.0, metric=repr(result.metric)) == \
+            replace(alone, wall_time_s=0.0, metric=repr(alone.metric))
+        with open(path, "rb") as got, open(alone_path, "rb") as want:
+            assert got.read() == want.read()
+        assert result.wall_time_s > 0.0
 
 
 def test_network_spec_for_both_tasks():

@@ -22,6 +22,7 @@ from caadam.nn import (
     init_network,
     loss,
     softmax,
+    stack,
 )
 
 
@@ -330,6 +331,88 @@ def test_forward_only_workspace_holds_no_gradients_and_leaves_no_cache(head):
     with pytest.raises(ValueError, match="forward-only"):
         backward(net, cache, y)
     assert Workspace(net, rows=3, backward=False).block_rows == 3
+
+
+def _stack_of(spec, count, seed):
+    """``count`` networks of ``spec``, their copies, and their stack."""
+    nets = [init_network(spec, make_rng(seed + k)) for k in range(count)]
+    alone = [Network(net.spec, net.layers) for net in nets]
+    return nets, alone, stack(nets)
+
+
+@pytest.mark.parametrize("head", [REGRESSION, CLASSIFICATION])
+@pytest.mark.parametrize("hidden", [(), (7,), (7, 5)])
+def test_a_stack_gives_each_member_its_own_prediction_and_gradients(head, hidden):
+    rng = make_rng(21)
+    classes = 3 if head == CLASSIFICATION else 1
+    nets, alone, group = _stack_of(NetworkSpec(4, hidden, classes, head), 3, 30)
+    for k, net in enumerate(nets):  # each member's parameters are its row of the stack
+        assert net.flat.base is group.flat and np.shares_memory(net.layers[0][0], group.flat)
+        assert_array_equal(net.flat, alone[k].flat)
+    x = rng.normal(size=(23, 4))
+    y = rng.integers(0, classes, size=23) if head == CLASSIFICATION else rng.normal(size=(23, 1))
+    ws = Workspace(group, rows=23)
+    assert ws.lead == (3,) and len(ws.member_grads) == 3
+    for rows in (slice(0, 16), slice(16, 23), slice(4, 5)):  # a batch, a remainder, one row
+        pred, cache = forward(group, x[rows], ws)
+        grads = backward(group, cache, y[rows])
+        for k, one in enumerate(alone):
+            pred_one, cache_one = forward(one, x[rows])
+            assert pred[k].tobytes() == pred_one.tobytes()
+            expected = backward(one, cache_one, y[rows]).flat
+            assert ws.member_grads[k].flat.tobytes() == expected.tobytes()
+            assert np.shares_memory(ws.member_grads[k].flat, grads.flat[k])
+            assert ws.member_grads[k].shapes == one.shapes
+    pred, _ = forward(group, x, Workspace(group, rows=23, batch_rows=4))  # in row blocks
+    for k, one in enumerate(alone):
+        assert pred[k].tobytes() == forward(one, x)[0].tobytes()
+
+
+def test_a_stack_names_the_members_whose_passes_are_not_finite():
+    nets, _, group = _stack_of(NetworkSpec(4, (7,), 1), 4, 40)
+    x, y = make_rng(3).normal(size=(6, 4)), np.zeros((6, 1))
+    ws = Workspace(group, rows=6)
+    nets[2].layers[1][1][0] = np.inf  # member 2's output bias
+    with pytest.raises(NonFiniteError, match="activations") as raised:
+        forward(group, x, ws)
+    assert raised.value.members == (2,)
+    nets[2].layers[1][1][0] = 0.0
+    nets[1].layers[1][0][0, 0] = nets[3].layers[1][0][0, 0] = 1e300  # overflow in backward
+    y[:] = -1e300
+    _, cache = forward(group, x, ws)
+    with pytest.raises(NonFiniteError, match="gradients") as raised:
+        backward(group, cache, y)
+    assert raised.value.members == (1, 3)
+    with pytest.raises(NonFiniteError) as raised:  # one network is member 0
+        forward(nets[0], np.full((1, 4), np.inf))
+    assert raised.value.members == (0,)
+
+
+def test_a_stack_takes_a_workspace_of_its_own_member_count():
+    nets, _, group = _stack_of(NetworkSpec(4, (7,), 1), 2, 50)
+    with pytest.raises(ShapeError, match="workspace holds"):
+        forward(group, np.zeros((2, 4)), Workspace(nets[0], rows=2))
+    with pytest.raises(ShapeError, match="workspace holds"):
+        forward(nets[0], np.zeros((2, 4)), Workspace(group, rows=2))
+    with pytest.raises(ShapeError, match="parameters of shape"):
+        nets[0].adopt(np.zeros(3))
+    assert stack(nets[:1]) is nets[0]  # one network is its own stack
+
+
+def test_a_stacked_workspace_keeps_one_trials_hidden_rows():
+    # grid-zoo's (64, 32) group: 11 optimizers, 16 inputs, 6 classes, batch
+    # 64, 1920 training rows
+    _, _, group = _stack_of(NetworkSpec(16, (64, 32), 6, CLASSIFICATION), 11, 60)
+    one = init_network(group.spec, make_rng(0))
+    trial = Workspace(one, 1920, batch_rows=64)
+    ws = Workspace(group, 1920, batch_rows=64)
+    assert trial.block_rows == BLOCK_ROWS and ws.block_rows == 64 == max(64, BLOCK_ROWS // 11)
+    hidden = [out.size for out in ws.outputs[:-1]]
+    assert sum(hidden) == 11 * 64 * (64 + 32)  # not 11 x 512 rows
+    assert sum(hidden) <= sum(out.size for out in trial.outputs[:-1]) * 64 * 11 / BLOCK_ROWS
+    # a workspace of one batch holds one batch, whatever the member count
+    assert Workspace(group, 64, batch_rows=64).block_rows == 64
+    assert Workspace(group, 1920, backward=False).block_rows == FORWARD_BLOCK_ROWS // 11
 
 
 # The products for which backward calls np.dot: the output layer's weight

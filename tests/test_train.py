@@ -485,29 +485,44 @@ def _raise_at(fn, call: int, count=None):
     return wrapped
 
 
-def _run(monkeypatch, helper, algorithm, cfg, fault=None):
-    """One train() on ``small_problem`` with the losses on a helper thread or
-    not, and ``fault`` (where, epoch) injected; returns every output."""
+def _train_outputs(monkeypatch, helper, algorithms, problem, cfg, fault=None, faulty=0):
+    """train() on ``problem`` (split, network) for a group of one network per
+    algorithm, each from a copy of the problem's network, with the losses on
+    a helper thread or not, and ``fault`` (where, epoch) injected into
+    member ``faulty``; returns every output of each member."""
     monkeypatch.setattr(train_module, "_losses_on_helper", lambda spec: helper)
-    split, net = small_problem(seed=9)
-    opt = _optimizer(algorithm, net)
+    split, net = problem
+    nets = [Network(net.spec, net.layers) for _ in algorithms]
+    opts = [_optimizer(algorithm, one) for algorithm, one in zip(algorithms, nets)]
     steps_per_epoch = -(-split.train.n_samples // cfg.batch_size)
     if fault is not None:
         where, epoch = fault
         if where == "step":
+            opt = opts[faulty]
             monkeypatch.setattr(opt, "step", _raise_at(opt.step, (epoch - 1) * steps_per_epoch + 2))
         else:
+            # each epoch computes the members' losses on a set in member order
             ds = split.validation if where == "val" else split.train
+            call = (epoch - 1) * len(nets) + faulty + 1
             for module in (train_module, nn_module):  # the loop's and the helper's
                 monkeypatch.setattr(module, "loss", _raise_at(
-                    nn_module.loss, epoch, lambda pred, targets, head: targets is ds.targets))
+                    nn_module.loss, call, lambda pred, targets, head: targets is ds.targets))
     threads = threading.active_count()
-    net, log = train(net, opt, split, cfg)
+    trained = train(nets, opts, split, cfg)
     assert threading.active_count() == threads
     monkeypatch.undo()  # the next run patches the real functions again
-    return ([(r.epoch, r.train_loss, r.val_loss, r.lr) for r in log.records], log.stop_reason,
-            log.epochs_run, log.best_val_loss,
-            None if log.best_weights is None else log.best_weights.tolist(), net.flat.tolist())
+    return [([(r.epoch, r.train_loss, r.val_loss, r.lr) for r in log.records], log.stop_reason,
+             log.epochs_run, log.best_val_loss,
+             None if log.best_weights is None else log.best_weights.tolist(), net.flat.tolist(),
+             None if log.stop_reason == STOP_DIVERGED else evaluate(net, split.test))
+            for net, log in trained]
+
+
+def _run(monkeypatch, helper, algorithm, cfg, fault=None):
+    """One train() on ``small_problem`` with the losses on a helper thread or
+    not, and ``fault`` (where, epoch) injected; returns every output."""
+    return _train_outputs(monkeypatch, helper, [algorithm], small_problem(seed=9), cfg,
+                          fault)[0][:6]
 
 
 RUN_OUT = TrainConfig(batch_size=32, max_epochs=6, seed=4)
@@ -539,6 +554,121 @@ def test_losses_on_a_helper_thread_give_the_same_training(monkeypatch, algorithm
         assert (best is None) == (fault[1] == 1)
         if best is not None:
             assert flat == best and best_val == min(r[2] for r in records)
+
+
+def classification_problem(seed=3):
+    ds = synth_classification(n=200, m=4, classes=3, seed=seed)
+    split = split_standardize(ds, seed=seed + 1)
+    return split, init_network(NetworkSpec(4, (8,), 3, "classification"), make_rng(seed + 2))
+
+
+# Member 4 of ALGORITHMS (adamw) takes the injected fault.
+FAULTY = 4
+
+
+@pytest.mark.parametrize("helper", [False, True], ids=["at-once", "helper"])
+@pytest.mark.parametrize("problem, cfg, fault", [
+    (small_problem, RUN_OUT, None),
+    (classification_problem, RUN_OUT, None),
+    (small_problem, STOP_SOON, None),
+    *[(small_problem, RUN_OUT, (where, epoch)) for where in ("step", "val", "train")
+      for epoch in (1, 4)],
+], ids=["max-epochs", "classification", "early-stop", "step-1", "step-4", "val-1", "val-4",
+        "train-1", "train-4"])
+def test_a_group_gives_each_member_the_training_it_has_alone(monkeypatch, helper, problem, cfg,
+                                                             fault):
+    split, net = problem()
+    soon, cfg = cfg is STOP_SOON, replace(cfg, batch_size=24)
+    assert split.train.n_samples % cfg.batch_size  # each epoch ends on a remainder batch
+    group = _train_outputs(monkeypatch, helper, ALGORITHMS, (split, net), cfg, fault, FAULTY)
+    for k, algorithm in enumerate(ALGORITHMS):
+        alone = _train_outputs(monkeypatch, helper, [algorithm], (split, net), cfg,
+                               fault if k == FAULTY else None)
+        assert group[k] == alone[0], algorithm
+    stops = [(out[1], out[2]) for out in group]
+    if soon:  # the members stop early after lr cuts, at different epochs
+        assert all(stop == STOP_EARLY for stop, _ in stops)
+        assert len({epochs for _, epochs in stops}) > 1
+        assert all(len({r[3] for r in out[0]}) > 1 for out in group)
+    elif fault is not None:  # the faulty member diverges in epoch e; the others run on
+        assert stops.pop(FAULTY) == (STOP_DIVERGED, fault[1] - 1)
+        assert stops == [(STOP_MAX_EPOCHS, cfg.max_epochs)] * (len(ALGORITHMS) - 1)
+
+
+def test_a_group_member_that_diverges_at_its_first_step_leaves_the_others_alone(monkeypatch):
+    split, net = small_problem(seed=9)
+    nets = [Network(net.spec, net.layers) for _ in range(3)]
+    opts = [_optimizer("adam", one) for one in nets]
+    monkeypatch.setattr(opts[1], "step", _raise_at(opts[1].step, 1))
+    (first, _), (second, log), (third, _) = train(nets, opts, split, RUN_OUT)
+    assert log.stop_reason == STOP_DIVERGED and log.epochs_run == 0 and log.records == []
+    assert second.flat.tolist() == net.flat.tolist()  # it never stepped
+    assert first.flat.tolist() == third.flat.tolist() != net.flat.tolist()
+    for one in (first, second, third):  # each owns its weights after training
+        assert not any(np.shares_memory(one.flat, other.flat)
+                       for other in (first, second, third) if other is not one)
+
+
+def test_a_group_needs_one_optimizer_per_network():
+    split, net = small_problem()
+    with pytest.raises(ValueError, match="one optimizer per network"):
+        train([net, Network(net.spec, net.layers)], [_optimizer("adam", net)], split, RUN_OUT)
+    with pytest.raises(ValueError, match="one optimizer per network"):
+        train([], [], split, RUN_OUT)
+
+
+class _Clock:
+    """A stand-in for ``time.monotonic`` that moves on by 1 at each reading."""
+
+    def __init__(self):
+        self.now, self.readings = 0.0, []
+
+    def monotonic(self):
+        self.readings.append(self.now)
+        self.now += 1.0
+        return self.readings[-1]
+
+
+def test_a_groups_wall_times_split_its_time_among_its_members(monkeypatch):
+    # members: "slow" (adam, whose steps take 1000), "gone" (adam, diverging
+    # at its second step of epoch 3) and "sgd"; from epoch 4 each training
+    # forward pass takes 10**6
+    clock = _Clock()
+    monkeypatch.setattr(train_module, "time", clock)
+    split, net = small_problem(seed=9)
+    nets = [Network(net.spec, net.layers) for _ in range(3)]
+    slow, gone, sgd = opts = [_optimizer(a, one) for a, one in zip(("adam", "adam", "sgd"), nets)]
+    steps_per_epoch = -(-split.train.n_samples // RUN_OUT.batch_size)
+
+    def slow_step(*args, step=slow.step, **kwargs):
+        clock.now += 1000.0
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(slow, "step", slow_step)
+    monkeypatch.setattr(gone, "step", _raise_at(gone.step, 2 * steps_per_epoch + 2))
+    batches = [0]
+
+    def timed_forward(net, batch, workspace=None, forward=train_module.forward):
+        if all(batch is not ds.features for ds in (split.train, split.validation)):  # a batch
+            batches[0] += 1
+            if batches[0] > 3 * steps_per_epoch:
+                clock.now += 10.0**6
+        return forward(net, batch, workspace)
+
+    monkeypatch.setattr(train_module, "forward", timed_forward)
+    (_, slow_log), (_, gone_log), (_, sgd_log) = train(nets, opts, split, RUN_OUT)
+    assert gone_log.stop_reason == STOP_DIVERGED and gone_log.epochs_run == 2
+    walls = [log.wall_time_s for log in (slow_log, gone_log, sgd_log)]
+    # the members' walls add up to the group's time, from its first reading to its last
+    assert sum(walls) == pytest.approx(clock.readings[-1] - clock.readings[0], rel=1e-12)
+    # the slow steps are charged to their member alone: "slow" and "sgd" share every epoch
+    steps = RUN_OUT.max_epochs * steps_per_epoch
+    assert walls[0] - walls[2] == pytest.approx(1000.0 * steps, rel=1e-12)
+    # "gone" left in epoch 3 and takes no share of the slow epochs 4-6, of
+    # which the other two take half each
+    assert walls[1] < 10.0**6
+    slow_epochs = 3 * steps_per_epoch * 10.0**6
+    assert slow_epochs / 2 < walls[2] < slow_epochs / 2 + 10.0**4
 
 
 def test_a_late_train_loss_divergence_leaves_the_epochs_weights(monkeypatch):
