@@ -182,10 +182,6 @@ class GradientSet:
 # in per-call overhead than they save, taller ones leave the cache.  A stack
 # of K networks divides it by K, so its hidden blocks hold no more rows.
 BLOCK_ROWS = 512
-# The least height of a forward-only workspace, which computes the epoch-end
-# losses on a helper thread, off the critical path.  On trial-wide's
-# (256, 128) net it kept the speed of 512-row blocks with 1.2 MB less memory.
-FORWARD_BLOCK_ROWS = 128
 
 
 def workspace_shapes(spec: NetworkSpec, rows: int, block_rows: int) -> list[tuple[int, ...]]:
@@ -216,14 +212,12 @@ class Workspace:
     layer outputs are the first rows of ``outputs``; it is None once
     ``backward`` has consumed that pass, after ``forward`` raised, and after
     a forward over more than one block, whose hidden rows hold only its last
-    block.  A workspace with ``backward=False`` serves forward passes alone:
-    its ``grads``, ``member_grads`` and ``batch`` stay None, and its hidden
-    layers take ``FORWARD_BLOCK_ROWS`` in place of ``BLOCK_ROWS``."""
+    block.  A workspace with ``backward=False`` serves forward passes alone,
+    in the same blocks: its ``grads``, ``member_grads`` and ``batch`` stay None."""
 
     def __init__(self, net: Network, rows: int, batch_rows: int = 0, backward: bool = True):
         self.rows, self.shapes, self.lead = rows, net.shapes, net.flat.shape[:-1]
-        least = (BLOCK_ROWS if backward else FORWARD_BLOCK_ROWS) // math.prod(self.lead)
-        self.block_rows = min(max(batch_rows, least), rows)
+        self.block_rows = min(max(batch_rows, BLOCK_ROWS // math.prod(self.lead)), rows)
         shapes = [self.lead + shape for shape in
                   workspace_shapes(net.spec, rows, self.block_rows)[: None if backward else -1]]
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))

@@ -191,44 +191,12 @@ def _losses_on_helper(spec) -> bool:
     return spec.multiply_adds >= HELPER_MIN_MULTIPLY_ADDS and cores.spare_core()
 
 
-@dataclass
-class _Pending:
-    """An epoch whose losses are not yet in the log: its number, the rate in
-    effect during it, and its validation and train losses as futures."""
-
-    epoch: int
-    lr: float
-    val: Future | _Settled
-    train: Future | _Settled
-    verdict: tuple[bool, bool] | None = None  # (improved, should_stop) once judged
-
-    def judge(self, stopper: EarlyStopper, scheduler: PlateauScheduler) -> bool:
-        """Wait for the validation loss and feed it once to the stopper and,
-        unless that stops, to the scheduler; returns should_stop."""
-        if self.verdict is None:
-            val_loss = self.val.result()
-            self.verdict = stopper.update(val_loss)
-            if not self.verdict[1]:
-                scheduler.update(val_loss)
-        return self.verdict[1]
-
-    def commit(self, log: TrainLog, weights: Network, started: float) -> None:
-        """After ``judge``: wait for the train loss, then log the epoch and,
-        if it improved, ``weights`` (the epoch's) as the best."""
-        train_loss = self.train.result()
-        val_loss = self.val.result()
-        log.records.append(EpochRecord(self.epoch, train_loss, val_loss, self.lr,
-                                       time.monotonic() - started))
-        log.epochs_run = self.epoch
-        if self.verdict[0]:
-            log.best_val_loss = val_loss
-            log.best_weights = weights.copy_weights()
-
-
 class _Member:
     """One network of a group and its own protocol: optimizer, stopper,
-    scheduler, log, its last epoch's losses (``pending``) and ``weights``, a
-    copy of the network made at that epoch's end, which they are the losses of."""
+    scheduler, log, and its last epoch, whose losses are not yet in the log
+    (``pending``: the epoch's number, the rate in effect during it, and its
+    validation and train losses as futures, computed on ``weights``, a copy
+    of the network made at that epoch's end)."""
 
     def __init__(self, net: Network, optimizer: Optimizer, cfg: TrainConfig):
         self.net, self.optimizer = net, optimizer
@@ -238,8 +206,31 @@ class _Member:
                                           cfg.min_lr)
         self.log = TrainLog()
         self.weights = Network(net.spec, net.layers)
-        self.pending: _Pending | None = None
+        self.pending: tuple[int, float, Future | _Settled, Future | _Settled] | None = None
+        self.verdict: tuple[bool, bool] | None = None  # (improved, should_stop) once judged
         self.grads = None  # its row of the group's gradients
+
+    def judge(self) -> bool:
+        """Wait for the pending validation loss and feed it once to the
+        stopper and, unless that stops, to the scheduler; returns should_stop."""
+        if self.verdict is None:
+            val_loss = self.pending[2].result()
+            self.verdict = self.stopper.update(val_loss)
+            if not self.verdict[1]:
+                self.scheduler.update(val_loss)
+        return self.verdict[1]
+
+    def commit(self, started: float) -> None:
+        """After ``judge``: wait for the pending train loss, then log the
+        epoch and, if it improved, ``weights`` as the best."""
+        epoch, lr, val, train_loss = self.pending
+        record = EpochRecord(epoch, train_loss.result(), val.result(), lr,
+                             time.monotonic() - started)
+        self.log.records.append(record)
+        self.log.epochs_run = epoch
+        if self.verdict[0]:
+            self.log.best_val_loss = record.val_loss
+            self.log.best_weights = self.weights.copy_weights()
 
     def finish(self, started: float) -> None:
         """End training, as a lone network's last epoch decides: its early
@@ -249,9 +240,9 @@ class _Member:
         log = self.log
         if self.pending is not None:
             try:
-                if self.pending.judge(self.stopper, self.scheduler):
+                if self.judge():
                     log.stop_reason = STOP_EARLY
-                self.pending.commit(log, self.weights, started)
+                self.commit(started)
             except NonFiniteError:
                 log.stop_reason = STOP_DIVERGED
                 if log.best_weights is None:
@@ -262,38 +253,34 @@ class _Member:
 
 class _Group:
     """The members still training, stacked (``nn.stack``) so that one
-    ``forward`` and one ``backward`` per batch serve them all, with the
-    workspaces and the helper thread that they share, and the clock that
-    splits the group's time among them."""
+    ``forward`` and one ``backward`` per batch, on a workspace of one batch,
+    serve them all; the helper thread, if any; and the clock that splits the
+    group's time among them.  The losses run member by member on one
+    forward-only workspace of one network, ``eval_ws``, built once and
+    used by whichever thread runs them, so every member's losses are those
+    of training alone, on either thread."""
 
     def __init__(self, members: list[_Member], data: SplitDataset, batch_size: int,
-                 helper: bool, started: float):
+                 started: float):
         self.live, self.data, self.batch_size = list(members), data, batch_size
-        self.rows = max(data.train.n_samples, data.validation.n_samples)
-        self._pool = self._helper_ws = None
-        if helper:
+        rows = max(data.train.n_samples, data.validation.n_samples)
+        self.eval_ws = Workspace(members[0].net, rows, batch_size, backward=False)
+        self._pool = None
+        if _losses_on_helper(members[0].net.spec):
             from concurrent.futures import ThreadPoolExecutor  # only the helper needs it
 
             self._pool = ThreadPoolExecutor(1)
-            self._helper_ws = Workspace(members[0].net, self.rows, backward=False)
         self._restack()
         self._mark, self._stepping, self._owners = started, 0.0, self.live
         self.started = started
 
     def _restack(self) -> None:
-        """Stack the live members and give them workspaces.  A stack's
-        workspace holds one batch; the losses run member by member on a
-        workspace of one network that blocks its rows as one trial does, so
-        every member's numbers are those of training alone."""
-        nets = [m.net for m in self.live]
-        self.net = stack(nets)
-        one = len(nets) == 1
-        self.workspace = Workspace(self.net, self.rows if one else min(
-            self.batch_size, self.data.train.n_samples), self.batch_size)
+        """Stack the live members and give them a workspace of one batch."""
+        self.net = stack([m.net for m in self.live])
+        self.workspace = Workspace(self.net, min(self.batch_size, self.data.train.n_samples),
+                                   self.batch_size)
         for member, grads in zip(self.live, self.workspace.member_grads):
             member.grads = grads
-        self.eval_ws = self._helper_ws or (self.workspace if one else
-                                           Workspace(nets[0], self.rows, self.batch_size))
 
     def leave(self, members: list[_Member], reason: str | None = None) -> None:
         """Take ``members`` out of the stack, with their own copy of their
@@ -332,8 +319,7 @@ class _Group:
         stopped, diverged = [], []
         for member in self.live:
             try:
-                if first and member.pending is not None and member.pending.judge(
-                        member.stopper, member.scheduler):
+                if first and member.pending is not None and member.judge():
                     stopped.append(member)
                     continue
                 began = time.monotonic()
@@ -349,27 +335,23 @@ class _Group:
         self.leave(diverged, STOP_DIVERGED)
 
     def end_epoch(self, epoch: int) -> None:
-        """Log the last epoch's losses, then start computing this epoch's:
-        validation losses first, since the next epoch's first step needs them."""
-        stopped, diverged = [], []
+        """Log the last epoch's losses, judged at this epoch's first step,
+        then start computing this epoch's: validation losses first, since
+        the next epoch's first step needs them."""
+        diverged = []
         for member in self.live:
-            if member.pending is None:
-                continue
             try:
-                if member.pending.judge(member.stopper, member.scheduler):
-                    stopped.append(member)
-                    continue
-                member.pending.commit(member.log, member.weights, self.started)
+                if member.pending is not None:
+                    member.commit(self.started)
             except NonFiniteError:
                 diverged.append(member)
-        self.leave(stopped)
         self.leave(diverged, STOP_DIVERGED)
         for member in self.live:
             member.weights.set_weights(member.net.flat)
         val = [self._loss(m.weights, self.data.validation) for m in self.live]
         train_loss = [self._loss(m.weights, self.data.train) for m in self.live]
         for member, v, t in zip(self.live, val, train_loss):
-            member.pending = _Pending(epoch, member.scheduler.lr, v, t)
+            member.pending, member.verdict = (epoch, member.scheduler.lr, v, t), None
 
     def _loss(self, weights: Network, ds: Dataset) -> Future | _Settled:
         if self._pool is None:
@@ -413,8 +395,9 @@ def train(net: Network | list[Network], optimizer: Optimizer | list[Optimizer],
     Epoch ``e``'s losses are read late: its validation loss before the first
     update of epoch ``e + 1``, whose rate and whose start depend on it, and
     its train loss at the end of epoch ``e + 1``.  So they can run on a
-    helper thread (``_losses_on_helper``) while the next epoch trains; the
-    log, the weights and the stop are those of reading them at once.
+    helper thread (``_losses_on_helper``) while the next epoch trains, on
+    the one workspace that computing them at once would use; the log, the
+    weights and the stop are those of reading them at once.
     """
     if isinstance(net, Network):
         ((net, log),) = _train_group([net], [optimizer], data, cfg)
@@ -434,8 +417,7 @@ def _train_group(nets: list[Network], optimizers: list[Optimizer], data: SplitDa
     rng = make_rng(cfg.seed)
     members = [_Member(net, opt, cfg) for net, opt in zip(nets, optimizers)]
 
-    with closing(_Group(members, data, cfg.batch_size, _losses_on_helper(nets[0].spec),
-                        started)) as group:
+    with closing(_Group(members, data, cfg.batch_size, started)) as group:
         for epoch in range(1, cfg.max_epochs + 1):
             if not group.live:
                 break
@@ -460,7 +442,7 @@ def evaluate(net: Network, ds: Dataset) -> float:
     (argmax with lowest-index tie breaking)."""
     if ds.n_samples < 1:
         raise DataError("cannot evaluate on an empty dataset")
-    pred, _ = forward(net, ds.features, Workspace(net, ds.n_samples))
+    pred, _ = forward(net, ds.features, Workspace(net, ds.n_samples, backward=False))
     if ds.task == CLASSIFICATION:
         picked = np.argmax(pred, axis=1)
         return float(np.mean(picked == np.asarray(ds.targets)))

@@ -12,7 +12,6 @@ from caadam.linalg import make_rng
 from caadam.nn import (
     BLOCK_ROWS,
     CLASSIFICATION,
-    FORWARD_BLOCK_ROWS,
     REGRESSION,
     Network,
     NetworkSpec,
@@ -317,13 +316,13 @@ def test_forward_only_workspace_holds_no_gradients_and_leaves_no_cache(head):
     rng = make_rng(13)
     classes = 3 if head == CLASSIFICATION else 1
     net = init_network(NetworkSpec(4, (7, 5), classes, head), rng)
-    rows = 2 * FORWARD_BLOCK_ROWS + 3
+    rows = 2 * BLOCK_ROWS + 3
     x = rng.normal(size=(rows, 4))
     y = (rng.integers(0, classes, size=5) if head == CLASSIFICATION
          else rng.normal(size=(5, 1)))
     ws = Workspace(net, rows, backward=False)
-    assert ws.grads is None and ws.block_rows == FORWARD_BLOCK_ROWS < BLOCK_ROWS
-    assert ws.block.size == FORWARD_BLOCK_ROWS * (7 + 5) + rows * classes
+    assert ws.grads is None and ws.block_rows == BLOCK_ROWS
+    assert ws.block.size == BLOCK_ROWS * (7 + 5) + rows * classes
     whole, _ = forward(net, x)
     assert_array_equal(forward(net, x, ws)[0], whole)
     pred, cache = forward(net, x[:5], ws)  # one block, and still no cache
@@ -412,7 +411,7 @@ def test_a_stacked_workspace_keeps_one_trials_hidden_rows():
     assert sum(hidden) <= sum(out.size for out in trial.outputs[:-1]) * 64 * 11 / BLOCK_ROWS
     # a workspace of one batch holds one batch, whatever the member count
     assert Workspace(group, 64, batch_rows=64).block_rows == 64
-    assert Workspace(group, 1920, backward=False).block_rows == FORWARD_BLOCK_ROWS // 11
+    assert Workspace(group, 1920, backward=False).block_rows == BLOCK_ROWS // 11
 
 
 # The products for which backward calls np.dot: the output layer's weight

@@ -609,6 +609,39 @@ def test_a_group_member_that_diverges_at_its_first_step_leaves_the_others_alone(
                        for other in (first, second, third) if other is not one)
 
 
+@pytest.mark.parametrize("helper", [False, True], ids=["at-once", "helper"])
+def test_a_group_builds_one_workspace_for_its_losses(monkeypatch, helper):
+    split, net = small_problem(seed=9)
+    rows = max(split.train.n_samples, split.validation.n_samples)
+    built = []
+
+    def counted(net, *args, **kwargs):
+        ws = workspace(net, *args, **kwargs)
+        if ws.rows == rows:
+            built.append(ws)
+        return ws
+
+    workspace = train_module.Workspace
+    monkeypatch.setattr(train_module, "Workspace", counted)
+    group = _train_outputs(monkeypatch, helper, [a for a in ALGORITHMS if a != "caadam"],
+                           (split, net), STOP_SOON)
+    stops = {(out[1], out[2]) for out in group}
+    assert {stop for stop, _ in stops} == {STOP_EARLY} and len(stops) > 1  # members leave
+    assert len(built) == 1
+
+
+def test_the_logged_losses_do_not_depend_on_the_thread_that_computes_them(monkeypatch):
+    # 129 validation rows: blocks of other than the training's height would
+    # end on a 1-row block, which BLAS computes with another kernel
+    ds = synth_classification(n=807, m=8, classes=3, spread=2.0, seed=0)
+    split, net, seed = trial_setup(ds, (256, 128), DEFAULT_SPLIT, 0)
+    assert split.validation.n_samples == 129
+    cfg = TrainConfig(batch_size=64, max_epochs=8, seed=seed)
+    on, off = (_train_outputs(monkeypatch, helper, ["adam"], (split, net), cfg)[0][0]
+               for helper in (True, False))
+    assert [(r[1], r[2]) for r in on] == [(r[1], r[2]) for r in off]
+
+
 def test_a_group_needs_one_optimizer_per_network():
     split, net = small_problem()
     with pytest.raises(ValueError, match="one optimizer per network"):
