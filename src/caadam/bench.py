@@ -14,13 +14,11 @@ across identically configured runs; wall-clock timings go to a separate
 from __future__ import annotations
 
 import csv
-import inspect
-import json
 import math
 import os
 import re
 from contextlib import ExitStack, contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
 
@@ -38,6 +36,8 @@ from .data import (
     synth_regression,
 )
 from .errors import ConfigError, DataError
+from .jsonio import (INT, LIST, NUMBER, PARSERS, STR, arguments, checked, number, read_json,
+                     write_json)
 from .linalg import make_rng
 from .nn import CLASSIFICATION, REGRESSION, Network, NetworkSpec, init_network, workspace_shapes
 from .optim import OptimizerConfig, make_optimizer, optimizer_class
@@ -134,65 +134,12 @@ class TrialResult:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
-#
-# The constructors own every range; the parser checks JSON kinds and coerces.
-# Its keys are the dataclass fields, and a key's kind is that of its default.
+# config parsing: ``jsonio`` checks JSON kinds, the constructors own every range
 
 
-def _checked(value, kinds: tuple, what: str):
-    """``value`` itself when it is an instance of ``kinds`` (never a bool)."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ConfigError(f"{what} must be {names}, got {value!r}")
-    return value
-
-
-_INT = (int,)
-_NUMBER = (int, float)
-_LIST = (list, tuple)
-_STR = (str,)
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a finite float; an integer too large for one, or a NaN or
-    infinity (``json.load`` reads those tokens), is a config error."""
-    try:
-        number = float(_checked(value, _NUMBER, what))
-    except OverflowError:
-        raise ConfigError(f"{what} is too large for a float") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{what} must be finite, got {number}")
-    return number
-
-
-def _parsed(value, default, what: str):
-    """``value`` checked to be the JSON kind of ``default`` and coerced: a
-    finite float, a list of them, an integer, or a TrainConfig from a mapping."""
-    if isinstance(default, float):
-        return _number(value, what)
-    if isinstance(default, tuple):
-        return tuple(_number(v, what) for v in _checked(value, _LIST, what))
-    if isinstance(default, TrainConfig):
-        unknown = _checked(value, (dict,), what).keys() - _TRAIN_KEYS.keys()
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return TrainConfig(**{key: _parsed(v, _TRAIN_KEYS[key], key) for key, v in value.items()})
-    return _checked(value, _INT, what)
-
-
-def _defaults(cls) -> dict:
-    """The default of each field of dataclass ``cls`` that has one."""
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-
-
-# A trial derives its shuffle seed, so a config sets no train seed.
-_TRAIN_KEYS = {key: d for key, d in _defaults(TrainConfig).items() if key != "seed"}
 # An optimizer entry adds a label, flattens the ScalingStrategy into
 # scaling/gamma/sigma, and takes the float fields its algorithm reads.
 _ENTRY_KEYS = {"algorithm", "label", "scaling", "gamma", "sigma"}
-_EXPERIMENT_KEYS = [f.name for f in fields(ExperimentConfig)]
-_EXPERIMENT_DEFAULTS = _defaults(ExperimentConfig)
 
 
 def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
@@ -203,9 +150,9 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
     not take one.  Of the float hyper-parameters, an entry takes only those
     its algorithm reads; any other key is an error rather than ignored.
     """
-    if "algorithm" not in _checked(spec, (dict,), "optimizer entry"):
+    if "algorithm" not in checked(spec, (dict,), "optimizer entry"):
         raise ConfigError(f"optimizer entry needs an 'algorithm': {spec}")
-    algorithm = _checked(spec["algorithm"], _STR, "algorithm")
+    algorithm = checked(spec["algorithm"], STR, "algorithm")
     reads = optimizer_class(algorithm).reads
     unknown = spec.keys() - _ENTRY_KEYS - set(reads)
     if unknown:
@@ -214,9 +161,9 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
 
     scaling = None
     if "scaling" in spec:
-        strategy_args = {"kind": _checked(spec["scaling"], _STR, "scaling")}
+        strategy_args = {"kind": checked(spec["scaling"], STR, "scaling")}
         if "gamma" in spec:
-            strategy_args["gamma"] = _number(spec["gamma"], "gamma")
+            strategy_args["gamma"] = number(spec["gamma"], "gamma")
         if "sigma" in spec:
             strategy_args["multiplicative_sigma"] = spec["sigma"]
         scaling = ScalingStrategy(**strategy_args)
@@ -225,33 +172,27 @@ def optimizer_entry_from_dict(spec: dict) -> OptimizerEntry:
     elif "gamma" in spec or "sigma" in spec:
         raise ConfigError("'gamma'/'sigma' are only valid together with 'scaling'")
 
-    kwargs = {key: _number(spec[key], key) for key in reads if key in spec}
+    kwargs = {key: number(spec[key], key) for key in reads if key in spec}
     config = OptimizerConfig(algorithm=algorithm, scaling=scaling, **kwargs)
-    label = _checked(spec.get("label", default_label(config)), _STR, "label")
+    label = checked(spec.get("label", default_label(config)), STR, "label")
     return OptimizerEntry(label=label, config=config)
+
+
+# The parsers of ExperimentConfig's annotations.  A trial derives its shuffle
+# seed, so a config sets no train seed.
+_EXPERIMENT_PARSERS = {
+    **PARSERS,
+    dict: partial(checked, kinds=(dict,)),
+    OptimizerEntry: lambda value, what: optimizer_entry_from_dict(value),
+    TrainConfig: lambda value, what: TrainConfig(
+        **arguments(TrainConfig, value, "train config", seed=TrainConfig.seed)),
+}
 
 
 def experiment_from_dict(payload: dict) -> ExperimentConfig:
     """Parse the experiment config mapping used by config files."""
-    if not isinstance(payload, dict):
-        raise ConfigError(f"experiment config must be a mapping, got {type(payload).__name__}")
-    unknown = payload.keys() - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
-    for key in _EXPERIMENT_KEYS:
-        if key not in payload and key not in _EXPERIMENT_DEFAULTS:
-            raise ConfigError(f"experiment config needs {key!r}")
-    return ExperimentConfig(
-        dataset=dict(_checked(payload["dataset"], (dict,), "dataset")),
-        architectures=tuple(
-            tuple(_checked(s, _INT, "layer size") for s in _checked(a, _LIST, "architecture"))
-            for a in _checked(payload["architectures"], _LIST, "architectures")
-        ),
-        optimizers=tuple(optimizer_entry_from_dict(o)
-                         for o in _checked(payload["optimizers"], _LIST, "optimizers")),
-        **{key: _parsed(payload[key], default, key)
-           for key, default in _EXPERIMENT_DEFAULTS.items() if key in payload},
-    )
+    return ExperimentConfig(**arguments(ExperimentConfig, payload, "experiment config",
+                                        _EXPERIMENT_PARSERS))
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +203,10 @@ def experiment_from_dict(payload: dict) -> ExperimentConfig:
 _MAX_ELEMENTS = np.iinfo(np.intp).max // 8
 
 
-# The parser of a dataset option by its builder parameter's annotation.
-_OPTION_PARSERS = {int: partial(_checked, kinds=_INT), float: _number,
-                   str: partial(_checked, kinds=_STR)}
-
-
 def load_dataset(spec: dict) -> Dataset:
     """Build the experiment dataset from its config mapping.  A kind's options
-    are its builder's parameters: each is checked to be the JSON kind of its
-    annotation, a missing one takes the builder's default, and one without a
-    default is required.  Every option is checked before any data is
-    generated or read."""
+    are its builder's parameters (``jsonio.arguments``).  Every option is
+    checked before any data is generated or read."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
     # Looked up at each call, so a builder patched on this module is the one called.
@@ -280,16 +214,7 @@ def load_dataset(spec: dict) -> Dataset:
                 "synth_classification": synth_classification, "csv": load_csv}
     if kind not in builders:
         raise ConfigError(f"unknown dataset kind {kind!r}")
-    params = inspect.signature(builders[kind], eval_str=True).parameters
-    unknown = spec.keys() - params.keys()
-    if unknown:
-        raise ConfigError(f"unknown dataset option(s) for kind {kind!r}: {sorted(unknown)}")
-    args = {name: p.default for name, p in params.items() if p.default is not p.empty}
-    missing = params.keys() - args.keys() - spec.keys()
-    if missing:
-        raise ConfigError(f"{kind} dataset needs option(s) {sorted(missing)}")
-    args |= {name: _OPTION_PARSERS[params[name].annotation](value, what=name)
-             for name, value in spec.items()}
+    args = arguments(builders[kind], spec, f"{kind} dataset")
     if max(args.get("n", 0), args.get("classes", 0)) * args.get("m", 0) > _MAX_ELEMENTS:
         raise ConfigError(f"dataset sizes {args} are too large for a NumPy array")
     if args.get("task", REGRESSION) not in (REGRESSION, CLASSIFICATION):
@@ -674,10 +599,10 @@ def _row(record, columns) -> dict:
 
 # The columns of a trials.json and a timings.json row, with the JSON kinds a
 # loader accepts; a float column reads null back as NaN.
-_FLOAT = _NUMBER + (type(None),)
-_TRIAL_ROW = {"cell": _STR, "architecture": _STR, "optimizer": _STR, "seed": _INT,
-              "metric": _FLOAT, "epochs_run": _INT, "stop_reason": _STR}
-_TIMING_ROW = {"cell": _STR, "seed": _INT, "wall_time_s": _FLOAT}
+_FLOAT = NUMBER + (type(None),)
+_TRIAL_ROW = {"cell": STR, "architecture": STR, "optimizer": STR, "seed": INT,
+              "metric": _FLOAT, "epochs_run": INT, "stop_reason": STR}
+_TIMING_ROW = {"cell": STR, "seed": INT, "wall_time_s": _FLOAT}
 
 
 def save_trials(trials: list[TrialResult], path) -> None:
@@ -712,38 +637,19 @@ def writing(path):
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
-def write_json(path, payload) -> None:
-    """``payload`` as indented, key-sorted JSON with a final newline; NaN or ±inf is an error."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
-def read_json(path, what: str):
-    """The parsed JSON file at ``path``; a missing, unreadable or invalid
-    file is a ConfigError naming ``what``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _result_rows(payload, path, columns: dict) -> list[dict]:
     """``payload["results"]``, each row checked to hold ``columns`` of their
     kinds and cut to them, with every float column as a float."""
-    rows = _checked(_checked(payload, (dict,), f"{path}: top level").get("results"),
-                    _LIST, f"{path}: results")
+    rows = checked(checked(payload, (dict,), f"{path}: top level").get("results"),
+                    LIST, f"{path}: results")
     out = []
     for row in rows:
-        missing = columns.keys() - _checked(row, (dict,), f"{path}: result row").keys()
+        missing = columns.keys() - checked(row, (dict,), f"{path}: result row").keys()
         if missing:
             raise ConfigError(f"{path}: result row lacks {sorted(missing)}")
         for key, kinds in columns.items():
-            _checked(row[key], kinds, f"{path}: {key}")
-        out.append({key: (math.nan if row[key] is None else _number(row[key], key))
+            checked(row[key], kinds, f"{path}: {key}")
+        out.append({key: (math.nan if row[key] is None else number(row[key], key))
                     if kinds is _FLOAT else row[key] for key, kinds in columns.items()})
     return out
 
@@ -761,7 +667,7 @@ def load_trials(path, timings_path=None) -> list[TrialResult]:
         raise ConfigError(f"{path}: unsupported trials version {payload.get('version')!r}")
     if not rows:
         raise ConfigError(f"{path} holds no trials")
-    metric_name = _checked(payload.get("metric", METRIC_RMSE), _STR, f"{path}: metric")
+    metric_name = checked(payload.get("metric", METRIC_RMSE), STR, f"{path}: metric")
     if metric_name not in (METRIC_RMSE, METRIC_ACCURACY):
         raise ConfigError(f"{path}: unknown metric {metric_name!r}")
     seen = set()

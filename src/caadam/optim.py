@@ -34,16 +34,15 @@ the parameters untouched, so a diverging run is recorded as such.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from numbers import Real
-from typing import get_type_hints
 
 import numpy as np
 
 from .arch import summarize
 from .errors import ConfigError, NonFiniteError, ShapeError
+from .jsonio import PARSERS, STR, arguments, checked, read_json, write_json
 from .nn import GradientSet, Network, check_shapes, split_views
 from .scaling import ScaleTable, ScalingStrategy, compute_scale_table
 
@@ -347,20 +346,9 @@ def make_optimizer(config: OptimizerConfig, net: Network | None = None) -> Optim
     return CaAdam(config, compute_scale_table(config.scaling, summarize(net)))
 
 
-def _built(cls, entries, **given):
-    """``cls(**entries, **given)`` for a checkpoint mapping ``entries`` whose values are
-    of their ``cls`` fields' annotated kinds (an int passes for a float, a bool for none)."""
-    if not isinstance(entries, dict):
-        raise ConfigError(f"checkpoint {cls.__name__} must be a mapping, got {entries!r}")
-    hints, entries = get_type_hints(cls), {**entries, **given}
-    for key, value in entries.items():
-        kind = (int, float) if hints.get(key) is float else hints.get(key, ())
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"checkpoint {cls.__name__} has a bad entry {key!r}: {value!r}")
-    try:
-        return cls(**entries)
-    except TypeError as exc:  # a field without a default is missing
-        raise ConfigError(f"checkpoint {cls.__name__}: {exc}") from None
+def _scaling(value, what: str) -> ScalingStrategy | None:
+    """A checkpoint config's ``scaling``: a ScalingStrategy mapping, or null for none."""
+    return None if value is None else ScalingStrategy(**arguments(ScalingStrategy, value, what))
 
 
 def _check_finite(slots: list, error: type[Exception]) -> None:
@@ -381,9 +369,9 @@ def from_checkpoint(payload: dict) -> Optimizer:
         raise ConfigError(f"checkpoint step 't' must be an integer >= 0, got {t!r}")
     if isinstance(cfg, dict):  # learning_rate is no longer a config field: ignore a saved one
         cfg = {key: value for key, value in cfg.items() if key != "learning_rate"}
-    scaling = cfg.get("scaling") if isinstance(cfg, dict) else None
-    config = _built(OptimizerConfig, cfg, algorithm=payload.get("algorithm"),
-                    scaling=None if scaling is None else _built(ScalingStrategy, scaling))
+    config = OptimizerConfig(**arguments(
+        OptimizerConfig, cfg, "checkpoint config", {**PARSERS, ScalingStrategy | None: _scaling},
+        algorithm=checked(payload.get("algorithm"), STR, "checkpoint algorithm")))
     cls = _REGISTRY[config.algorithm]
     names = cls.slot_names
     if type(slots) is not list or any(type(s) is not dict or s.keys() != set(names) for s in slots):
@@ -415,16 +403,10 @@ def save_checkpoint(opt: Optimizer, path) -> None:
     NonFiniteError naming its slot and tensor, raised before ``path`` is opened."""
     payload = opt.to_checkpoint()
     _check_finite(payload["slots"], NonFiniteError)
-    text = json.dumps(payload, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_json(path, payload)
 
 
 def load_checkpoint(path) -> Optimizer:
-    """``from_checkpoint`` of the JSON file at ``path``; invalid JSON is a ConfigError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return from_checkpoint(payload)
+    """``from_checkpoint`` of the JSON file at ``path``; a missing, unreadable
+    or invalid file is a ConfigError."""
+    return from_checkpoint(read_json(path, "checkpoint"))

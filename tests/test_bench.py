@@ -787,9 +787,9 @@ def test_load_dataset_kinds_and_errors():
         load_dataset({"kind": "parquet"})
     with pytest.raises(ConfigError, match="unknown dataset kind None"):
         load_dataset({})
-    with pytest.raises(ConfigError, match="unknown dataset option"):
+    with pytest.raises(ConfigError, match=r"unknown synth_regression dataset keys: \['rows'\]"):
         load_dataset({"kind": "synth_regression", "rows": 10})
-    with pytest.raises(ConfigError, match="unknown dataset option"):
+    with pytest.raises(ConfigError, match=r"unknown benchmark_regression dataset keys: \['seed'\]"):
         load_dataset({"kind": "benchmark_regression", "seed": 1})
 
 
@@ -814,7 +814,7 @@ def test_generated_kind_options_are_its_builders_parameters(kind, build):
     for name, param in params.items():
         with pytest.raises(ConfigError, match=f"{name} must be"):
             load_dataset({"kind": kind, name: _WRONG_KIND[param.annotation]})
-    with pytest.raises(ConfigError, match="unknown dataset option"):
+    with pytest.raises(ConfigError, match=rf"unknown {kind} dataset keys: \['rows'\]"):
         load_dataset({"kind": kind, "rows": 10})
 
 

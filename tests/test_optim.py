@@ -354,6 +354,10 @@ _MALFORMED = {
     "slot shapes differ": ("adam", lambda p: _slots(p, m=[0.1], v=[[0.1]])),
     "unknown config key": ("adam", lambda p: _with(p, config={**p["config"], "momentum": 0.5})),
     "config value a string": ("adam", lambda p: _with(p, config={"beta1": "x"})),
+    "config value too large for a float (adam eps)": (
+        "adam", lambda p: _with(p, config={**p["config"], "eps": 10 ** 400})),
+    "config value too large for a float (adamw weight_decay)": (
+        "adamw", lambda p: _with(p, config={**p["config"], "weight_decay": 10 ** 400})),
     "config value its algorithm does not read": (
         "adam", lambda p: _with(p, config={**p["config"], "weight_decay": 0.5})),
     "config a list": ("adam", lambda p: _with(p, config=[])),
@@ -385,6 +389,13 @@ def test_checkpoint_file_that_is_not_json_is_a_config_error(tmp_path):
     path.write_text('{"version": 1, "t": ')
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_checkpoint(path)
+
+
+def test_missing_checkpoint_file_is_a_config_error_naming_it(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(ConfigError, match="cannot read checkpoint") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_checkpoint_preserves_accumulators_exactly():
