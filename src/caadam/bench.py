@@ -37,7 +37,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .jsonio import (INT, LIST, NUMBER, PARSERS, STR, arguments, checked, number, read_json,
-                     write_json)
+                     write_json, writing)
 from .linalg import make_rng
 from .nn import CLASSIFICATION, REGRESSION, Network, NetworkSpec, init_network, workspace_shapes
 from .optim import OptimizerConfig, make_optimizer, optimizer_class
@@ -626,15 +626,6 @@ def building(what: str):
         yield
     except MemoryError as exc:
         raise ConfigError(f"{what} does not fit in memory") from exc
-
-
-@contextmanager
-def writing(path):
-    """An OSError while creating or writing the output ``path`` is a ConfigError."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def _result_rows(payload, path, columns: dict) -> list[dict]:

@@ -56,10 +56,9 @@ def _cmd_train(args) -> int:
     res = bench.run_trial(dataset, cfg.architectures[0],
                           cfg.optimizers[0], cfg.train, cfg.split, cfg.base_seed,
                           log_path=os.path.join(args.out, "log.csv"))
-    with bench.writing(args.out):
-        bench.write_json(os.path.join(args.out, "metrics.json"), {
-            f.name: bench.finite_or_none(getattr(res, f.name))
-            for f in fields(res) if f.name not in ("cell", "seed")})
+    bench.write_json(os.path.join(args.out, "metrics.json"), {
+        f.name: bench.finite_or_none(getattr(res, f.name))
+        for f in fields(res) if f.name not in ("cell", "seed")})
     metric = "n/a" if math.isnan(res.metric) else f"{res.metric:.6f}"
     print(f"{res.optimizer} on {res.architecture}: {res.metric_name}={metric} "
           f"after {res.epochs_run} epochs ({res.stop_reason}); outputs in {args.out}")
@@ -105,9 +104,8 @@ def _cmd_benchmark(args) -> int:
 
     trials = bench.run_experiment(cfg, dataset, workers=args.parallel, log_dir=log_dir,
                                   progress=progress)
-    with bench.writing(args.out):
-        bench.save_trials(trials, os.path.join(args.out, "trials.json"))
-        bench.save_timings(trials, os.path.join(args.out, "timings.json"))
+    bench.save_trials(trials, os.path.join(args.out, "trials.json"))
+    bench.save_timings(trials, os.path.join(args.out, "timings.json"))
     print()
     code = _report(trials, args.baseline, args.out)
     if code == EXIT_OK:

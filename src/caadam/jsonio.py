@@ -5,7 +5,8 @@ The kind rule: a value must be of its field's JSON kind.  An integer passes
 for a float, a bool never passes for a number, and a float must be finite
 and fit a double.  A value of another kind, a missing, unreadable or
 invalid JSON file, an unknown key and a missing required key are each a
-ConfigError; the constructors that receive the values own their ranges.
+ConfigError, and so is an output file that cannot be written; the
+constructors that receive the values own their ranges.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from contextlib import contextmanager
 from functools import partial
 from typing import get_args, get_origin
 
@@ -78,9 +80,18 @@ def arguments(fn, options, what: str, parsers=PARSERS, **given) -> dict:
     return args | given
 
 
+@contextmanager
+def writing(path):
+    """An OSError while creating or writing the output ``path`` is a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
 def write_json(path, payload) -> None:
     """``payload`` as indented, key-sorted JSON with a final newline; NaN or ±inf is an error."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 

@@ -176,11 +176,10 @@ class GradientSet:
             self.flat, self.shapes, self.layers = _pack(self.layers)
 
 
-# The least row-block height of one network: each block goes through every
-# layer while its hidden rows are still in cache.  Chosen from a sweep of
-# 64-2048 rows on the benchmark shapes (CHANGES.md): shorter blocks cost more
-# in per-call overhead than they save, taller ones leave the cache.  A stack
-# of K networks divides it by K, so its hidden blocks hold no more rows.
+# The least row-block height: each block goes through every layer while its
+# hidden rows are still in cache.  Chosen from a sweep of 64-2048 rows on the
+# benchmark shapes (CHANGES.md): shorter blocks cost more in per-call
+# overhead than they save, taller ones leave the cache.
 BLOCK_ROWS = 512
 
 
@@ -203,7 +202,7 @@ class Workspace:
     ``batch_rows`` is the most rows a caller needs
     as one block, such as a training batch that ``backward`` follows.  The
     output layer has ``rows`` rows; each hidden layer has ``block_rows``,
-    ``max(batch_rows, BLOCK_ROWS // K)`` but never more than ``rows``, with
+    ``max(batch_rows, BLOCK_ROWS)`` but never more than ``rows``, with
     its ReLU applied in place.  A call on up to ``block_rows`` rows uses the first rows
     of each view; a call on more runs them in blocks of ``block_rows``, each
     block through every layer, and writes each block's prediction into its
@@ -217,7 +216,7 @@ class Workspace:
 
     def __init__(self, net: Network, rows: int, batch_rows: int = 0, backward: bool = True):
         self.rows, self.shapes, self.lead = rows, net.shapes, net.flat.shape[:-1]
-        self.block_rows = min(max(batch_rows, BLOCK_ROWS // math.prod(self.lead)), rows)
+        self.block_rows = min(max(batch_rows, BLOCK_ROWS), rows)
         shapes = [self.lead + shape for shape in
                   workspace_shapes(net.spec, rows, self.block_rows)[: None if backward else -1]]
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))

@@ -400,7 +400,8 @@ def from_checkpoint(payload: dict) -> Optimizer:
 
 def save_checkpoint(opt: Optimizer, path) -> None:
     """Write ``opt.to_checkpoint()`` as JSON.  A non-finite accumulator is a
-    NonFiniteError naming its slot and tensor, raised before ``path`` is opened."""
+    NonFiniteError naming its slot and tensor, raised before ``path`` is
+    opened; a ``path`` that cannot be written is a ConfigError."""
     payload = opt.to_checkpoint()
     _check_finite(payload["slots"], NonFiniteError)
     write_json(path, payload)

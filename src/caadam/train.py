@@ -18,9 +18,8 @@ from __future__ import annotations
 import csv
 import math
 import time
-from contextlib import closing
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,9 +29,6 @@ from .errors import ConfigError, DataError, NonFiniteError
 from .linalg import make_rng
 from .nn import CLASSIFICATION, Network, Workspace, backward, forward, loss, stack
 from .optim import DEFAULT_LR, Optimizer
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future
 
 STOP_EARLY = "early_stop"
 STOP_MAX_EPOCHS = "max_epochs"
@@ -158,23 +154,6 @@ def _helper_loss(net: Network, ds: Dataset, workspace: Workspace) -> float:
     return nn.loss(pred, ds.targets, ds.task)
 
 
-class _Settled:
-    """``fn(*args)`` computed at once, read as a Future is: ``result()``
-    returns its value or raises the NonFiniteError it raised."""
-
-    def __init__(self, fn, *args):
-        self._value, self._error = None, None
-        try:
-            self._value = fn(*args)
-        except NonFiniteError as exc:
-            self._error = exc
-
-    def result(self) -> float:
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 # The multiply-adds per row (``NetworkSpec.multiply_adds``) from which the
 # epoch's losses run on a helper thread.  On a narrower net the helper spends
 # its time in Python, not in BLAS calls that release the interpreter lock,
@@ -206,7 +185,7 @@ class _Member:
                                           cfg.min_lr)
         self.log = TrainLog()
         self.weights = Network(net.spec, net.layers)
-        self.pending: tuple[int, float, Future | _Settled, Future | _Settled] | None = None
+        self.pending: tuple | None = None
         self.verdict: tuple[bool, bool] | None = None  # (improved, should_stop) once judged
         self.grads = None  # its row of the group's gradients
 
@@ -254,22 +233,18 @@ class _Member:
 class _Group:
     """The members still training, stacked (``nn.stack``) so that one
     ``forward`` and one ``backward`` per batch, on a workspace of one batch,
-    serve them all; the helper thread, if any; and the clock that splits the
-    group's time among them.  The losses run member by member on one
-    forward-only workspace of one network, ``eval_ws``, built once and
-    used by whichever thread runs them, so every member's losses are those
-    of training alone, on either thread."""
+    serve them all; the helper thread that ``train`` holds open, or None;
+    and the clock that splits the group's time among them.  The losses run
+    member by member on one forward-only workspace of one network,
+    ``eval_ws``, built once and used by whichever thread runs them, so every
+    member's losses are those of training alone, on either thread."""
 
     def __init__(self, members: list[_Member], data: SplitDataset, batch_size: int,
-                 started: float):
+                 started: float, helper):
         self.live, self.data, self.batch_size = list(members), data, batch_size
         rows = max(data.train.n_samples, data.validation.n_samples)
         self.eval_ws = Workspace(members[0].net, rows, batch_size, backward=False)
-        self._pool = None
-        if _losses_on_helper(members[0].net.spec):
-            from concurrent.futures import ThreadPoolExecutor  # only the helper needs it
-
-            self._pool = ThreadPoolExecutor(1)
+        self.helper = helper
         self._restack()
         self._mark, self._stepping, self._owners = started, 0.0, self.live
         self.started = started
@@ -353,10 +328,19 @@ class _Group:
         for member, v, t in zip(self.live, val, train_loss):
             member.pending, member.verdict = (epoch, member.scheduler.lr, v, t), None
 
-    def _loss(self, weights: Network, ds: Dataset) -> Future | _Settled:
-        if self._pool is None:
-            return _Settled(_mean_loss, weights, ds, self.eval_ws)
-        return self._pool.submit(_helper_loss, weights, ds, self.eval_ws)
+    def _loss(self, weights: Network, ds: Dataset):
+        """The mean loss of ``weights`` on ``ds`` as a Future: submitted to
+        the helper, or else computed at once, its NonFiniteError as its exception."""
+        if self.helper is not None:
+            return self.helper.submit(_helper_loss, weights, ds, self.eval_ws)
+        from concurrent.futures import Future  # kept out of ``import caadam``
+
+        done = Future()
+        try:
+            done.set_result(_mean_loss(weights, ds, self.eval_ws))
+        except NonFiniteError as exc:
+            done.set_exception(exc)
+        return done
 
     def charge(self) -> None:
         """Split the time since the last charge among the members live at
@@ -367,11 +351,6 @@ class _Group:
         for member in self._owners:
             member.log.wall_time_s += share
         self._mark, self._stepping, self._owners = now, 0.0, self.live
-
-    def close(self) -> None:
-        """Join the helper thread, if there is one."""
-        if self._pool is not None:
-            self._pool.shutdown()
 
 
 def train(net: Network | list[Network], optimizer: Optimizer | list[Optimizer],
@@ -397,17 +376,12 @@ def train(net: Network | list[Network], optimizer: Optimizer | list[Optimizer],
     its train loss at the end of epoch ``e + 1``.  So they can run on a
     helper thread (``_losses_on_helper``) while the next epoch trains, on
     the one workspace that computing them at once would use; the log, the
-    weights and the stop are those of reading them at once.
+    weights and the stop are those of reading them at once.  The helper
+    thread lives in one ``with`` block, so it is joined however training ends.
     """
-    if isinstance(net, Network):
-        ((net, log),) = _train_group([net], [optimizer], data, cfg)
-        return net, log
-    return _train_group(list(net), list(optimizer), data, cfg)
-
-
-def _train_group(nets: list[Network], optimizers: list[Optimizer], data: SplitDataset,
-                 cfg: TrainConfig) -> list[tuple[Network, TrainLog]]:
     started = time.monotonic()
+    lone = isinstance(net, Network)
+    nets, optimizers = ([net], [optimizer]) if lone else (list(net), list(optimizer))
     if not nets or len(nets) != len(optimizers):
         raise ValueError(f"a group needs one optimizer per network, got {len(optimizers)} "
                          f"for {len(nets)}")
@@ -416,8 +390,13 @@ def _train_group(nets: list[Network], optimizers: list[Optimizer], data: SplitDa
     n = x_train.shape[0]
     rng = make_rng(cfg.seed)
     members = [_Member(net, opt, cfg) for net, opt in zip(nets, optimizers)]
+    helping = nullcontext()
+    if _losses_on_helper(nets[0].spec):
+        from concurrent.futures import ThreadPoolExecutor  # only the helper needs it
 
-    with closing(_Group(members, data, cfg.batch_size, started)) as group:
+        helping = ThreadPoolExecutor(1)
+    with helping as helper:
+        group = _Group(members, data, cfg.batch_size, started, helper)
         for epoch in range(1, cfg.max_epochs + 1):
             if not group.live:
                 break
@@ -434,7 +413,8 @@ def _train_group(nets: list[Network], optimizers: list[Optimizer], data: SplitDa
             group.end_epoch(epoch)
         group.leave(group.live)
         group.charge()
-    return [(m.net, m.log) for m in members]
+    trained = [(m.net, m.log) for m in members]
+    return trained[0] if lone else trained
 
 
 def evaluate(net: Network, ds: Dataset) -> float:

@@ -1,12 +1,14 @@
 """Forward pass, losses, and backpropagation against hand-worked values and
 finite differences."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from caadam.data import split_standardize, synth_classification
 from caadam.errors import NonFiniteError, ShapeError
 from caadam.linalg import make_rng
 from caadam.nn import (
@@ -23,6 +25,8 @@ from caadam.nn import (
     softmax,
     stack,
 )
+from caadam.optim import OptimizerConfig, make_optimizer
+from caadam.train import TrainConfig, train
 
 
 def hand_net():
@@ -341,7 +345,7 @@ def _stack_of(spec, count, seed):
 
 @pytest.mark.parametrize("head", [REGRESSION, CLASSIFICATION])
 @pytest.mark.parametrize("hidden", [(), (7,), (7, 5)])
-def test_a_stack_gives_each_member_its_own_prediction_and_gradients(head, hidden):
+def test_a_stack_gives_each_member_its_own_prediction_and_gradients(monkeypatch, head, hidden):
     rng = make_rng(21)
     classes = 3 if head == CLASSIFICATION else 1
     nets, alone, group = _stack_of(NetworkSpec(4, hidden, classes, head), 3, 30)
@@ -362,7 +366,10 @@ def test_a_stack_gives_each_member_its_own_prediction_and_gradients(head, hidden
             assert ws.member_grads[k].flat.tobytes() == expected.tobytes()
             assert np.shares_memory(ws.member_grads[k].flat, grads.flat[k])
             assert ws.member_grads[k].shapes == one.shapes
-    pred, _ = forward(group, x, Workspace(group, rows=23, batch_rows=4))  # in row blocks
+    monkeypatch.setattr(importlib.import_module("caadam.nn"), "BLOCK_ROWS", 1)
+    ws = Workspace(group, rows=23, batch_rows=4)
+    pred, _ = forward(group, x, ws)
+    assert ws.block_rows == 4 and ws.batch is None  # in row blocks
     for k, one in enumerate(alone):
         assert pred[k].tobytes() == forward(one, x)[0].tobytes()
 
@@ -398,20 +405,28 @@ def test_a_stack_takes_a_workspace_of_its_own_member_count():
     assert stack(nets[:1]) is nets[0]  # one network is its own stack
 
 
-def test_a_stacked_workspace_keeps_one_trials_hidden_rows():
+def test_a_stacked_workspace_keeps_one_trials_hidden_rows(monkeypatch):
     # grid-zoo's (64, 32) group: 11 optimizers, 16 inputs, 6 classes, batch
-    # 64, 1920 training rows
-    _, _, group = _stack_of(NetworkSpec(16, (64, 32), 6, CLASSIFICATION), 11, 60)
-    one = init_network(group.spec, make_rng(0))
-    trial = Workspace(one, 1920, batch_rows=64)
-    ws = Workspace(group, 1920, batch_rows=64)
-    assert trial.block_rows == BLOCK_ROWS and ws.block_rows == 64 == max(64, BLOCK_ROWS // 11)
+    # 64, 1920 training rows.  train() builds a stacked workspace of one
+    # batch, and one forward-only workspace of one network for the losses.
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(Workspace(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(importlib.import_module("caadam.train"), "Workspace", recorded)
+    split = split_standardize(synth_classification(n=3000, m=16, classes=6, spread=2.0))
+    nets, _, _ = _stack_of(NetworkSpec(16, (64, 32), 6, CLASSIFICATION), 11, 60)
+    opts = [make_optimizer(OptimizerConfig("adam"), net) for net in nets]
+    train(nets, opts, split, TrainConfig(batch_size=64, max_epochs=1))
+    assert split.train.n_samples == 1920
+    losses, ws = built  # no member left the group, so it was stacked once
+    assert losses.lead == () and losses.grads is None and losses.block_rows == BLOCK_ROWS
+    assert ws.lead == (11,) and ws.rows == ws.block_rows == 64
     hidden = [out.size for out in ws.outputs[:-1]]
     assert sum(hidden) == 11 * 64 * (64 + 32)  # not 11 x 512 rows
-    assert sum(hidden) <= sum(out.size for out in trial.outputs[:-1]) * 64 * 11 / BLOCK_ROWS
-    # a workspace of one batch holds one batch, whatever the member count
-    assert Workspace(group, 64, batch_rows=64).block_rows == 64
-    assert Workspace(group, 1920, backward=False).block_rows == BLOCK_ROWS // 11
+    assert sum(hidden) <= sum(out.size for out in losses.outputs[:-1]) * 64 * 11 / BLOCK_ROWS
 
 
 # The products for which backward calls np.dot: the output layer's weight

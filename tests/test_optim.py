@@ -398,6 +398,13 @@ def test_missing_checkpoint_file_is_a_config_error_naming_it(tmp_path):
     assert str(path) in str(info.value)
 
 
+def test_checkpoint_into_a_missing_directory_is_a_config_error_naming_it(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    with pytest.raises(ConfigError, match="cannot write output") as info:
+        save_checkpoint(make_named("adam"), path)
+    assert str(path) in str(info.value)
+
+
 def test_checkpoint_preserves_accumulators_exactly():
     opt = make_named("adam")
     drive(opt, scalar_net(), GRAD_PAIRS[:5])

@@ -23,7 +23,7 @@ from caadam.data import (
     synth_classification,
     synth_regression,
 )
-from caadam.errors import ConfigError, DataError, NonFiniteError
+from caadam.errors import ConfigError, DataError, NonFiniteError, ShapeError
 from caadam.linalg import make_rng
 from caadam.nn import BLOCK_ROWS, Network, NetworkSpec, Workspace, init_network
 from caadam.optim import ALGORITHMS, OptimizerConfig, make_optimizer
@@ -470,8 +470,8 @@ def _optimizer(algorithm, net):
     return make_optimizer(OptimizerConfig(algorithm, scaling=scaling), net)
 
 
-def _raise_at(fn, call: int, count=None):
-    """``fn``, raising NonFiniteError at its ``call``-th call (1-based) that
+def _raise_at(fn, call: int, count=None, error=NonFiniteError):
+    """``fn``, raising ``error`` at its ``call``-th call (1-based) that
     ``count(*args)`` accepts."""
     seen = [0]
 
@@ -479,7 +479,7 @@ def _raise_at(fn, call: int, count=None):
         if count is None or count(*args):
             seen[0] += 1
             if seen[0] == call:
-                raise NonFiniteError("injected")
+                raise error("injected")
         return fn(*args, **kwargs)
 
     return wrapped
@@ -730,6 +730,28 @@ def test_helper_thread_computes_the_losses_when_forced_on(monkeypatch):
     train(net, _optimizer("adam", net), split, RUN_OUT)
     assert len(idents) == 2 * RUN_OUT.max_epochs
     assert threading.get_ident() not in idents
+
+
+def test_train_joins_its_helper_thread_when_training_raises(monkeypatch):
+    # the second step of epoch 2 raises, after epoch 1's losses went to the helper
+    idents = []
+
+    def recorded(*args):
+        idents.append(threading.get_ident())
+        return loss_fn(*args)
+
+    loss_fn = nn_module.loss
+    monkeypatch.setattr(nn_module, "loss", recorded)
+    monkeypatch.setattr(train_module, "_losses_on_helper", lambda spec: True)
+    split, net = small_problem()
+    opt = _optimizer("adam", net)
+    steps_per_epoch = -(-split.train.n_samples // RUN_OUT.batch_size)
+    monkeypatch.setattr(opt, "step", _raise_at(opt.step, steps_per_epoch + 2, error=ShapeError))
+    threads = threading.active_count()
+    with pytest.raises(ShapeError, match="injected"):
+        train(net, opt, split, RUN_OUT)
+    assert threading.active_count() == threads
+    assert len(idents) == 2 and threading.get_ident() not in idents
 
 
 @pytest.fixture
