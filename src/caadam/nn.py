@@ -295,10 +295,41 @@ def forward(net: Network, batch: Matrix,
     return pred, ws
 
 
-def softmax(logits: Matrix) -> Matrix:
-    """Row-wise softmax, stabilized by max subtraction."""
+# NumPy adds up a last axis shorter than 8 from left to right, as a loop over
+# the columns does; from 8 on it keeps 8 partial sums, which only its own
+# axis reduction repeats.  So below this many classes ``_exp_and_sums``
+# reduces column by column, one call per class rather than one per row, and
+# gives the bits of the axis reduction it replaces.
+_COLUMN_CLASSES = 8
+
+
+def _exp_and_sums(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(logits - row max)`` as a new array, and its row sums with the
+    last axis kept, for logits of any leading shape."""
+    classes = logits.shape[-1]
+    if classes < _COLUMN_CLASSES:
+        top = logits[..., 0].copy()
+        for j in range(1, classes):
+            np.maximum(top, logits[..., j], out=top)
+        e = np.exp(logits - top[..., None])
+        sums = e[..., 0].copy()
+        for j in range(1, classes):
+            sums += e[..., j]
+        return e, sums[..., None]
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
+    return e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax(logits: Matrix) -> Matrix:
+    """Row-wise softmax over the last axis, stabilized by max subtraction.
+
+    Below 8 classes the row max and the row sum are taken column by column,
+    which adds each row up from left to right as NumPy's own reduction does
+    on so short an axis; the result has the bits of
+    ``e = exp(z - z.max(-1, keepdims=True)); e / e.sum(-1, keepdims=True)``
+    at every class count."""
+    e, sums = _exp_and_sums(logits)
+    e /= sums
     return e
 
 
@@ -321,9 +352,14 @@ def loss(prediction: Matrix, targets, head: str) -> float:
     output dims), so its scale does not depend on batch size.  For
     classification ``targets`` holds integer class indices and the
     cross-entropy is the mean over rows of -log(softmax probability of the
-    true class), with probabilities floored at 1e-12 inside the log.
+    true class), with probabilities floored at 1e-12 inside the log; only
+    the true class's entry of each row is divided by its row sum, which
+    gives the bits of ``softmax`` (column by column below 8 classes) at that
+    entry.  A prediction with no rows is a ShapeError for either head.
     """
     p = as_matrix(prediction)
+    if p.shape[0] == 0:
+        raise ShapeError(f"loss of an empty batch: prediction {p.shape} has no rows")
     if head == REGRESSION:
         y = as_matrix(targets)
         if p.shape != y.shape:
@@ -332,8 +368,8 @@ def loss(prediction: Matrix, targets, head: str) -> float:
             value = float(np.mean((p - y) ** 2))
     elif head == CLASSIFICATION:
         idx = _class_indices(targets, p.shape[0], p.shape[1])
-        probs = softmax(p)
-        picked = probs[np.arange(p.shape[0]), idx]
+        e, sums = _exp_and_sums(p)
+        picked = e[np.arange(p.shape[0]), idx] / sums[:, 0]
         value = float(-np.mean(np.log(np.maximum(picked, _PROB_FLOOR))))
     else:
         raise ValueError(f"unsupported output head {head!r}")

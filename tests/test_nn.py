@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from caadam.data import split_standardize, synth_classification
@@ -122,6 +124,43 @@ def test_softmax_stable_for_large_logits():
     p = softmax(np.array([[1000.0, 0.0]]))
     assert np.isfinite(p).all()
     assert_allclose(p, [[1.0, 0.0]], atol=1e-300)
+
+
+@pytest.mark.parametrize("head, classes", [(REGRESSION, 1), (CLASSIFICATION, 6)])
+def test_loss_of_an_empty_batch_is_a_shape_error(head, classes):
+    targets = np.zeros((0, 1)) if head == REGRESSION else np.zeros(0, dtype=np.int64)
+    with pytest.raises(ShapeError, match="empty batch"):
+        loss(np.zeros((0, classes)), targets, head)
+
+
+def _row_softmax(z):
+    """The row form that ``softmax`` and ``loss`` must match bit for bit."""
+    e = np.exp(z - z.max(-1, keepdims=True))
+    return e / e.sum(-1, keepdims=True)
+
+
+# Logits of every layout the column form can meet: C order, Fortran order
+# and a strided view of rows and classes, with or without a leading member
+# axis.  Class counts straddle the 8-class limit of the column form.  The
+# scales keep z - max far from overflow, and exp(z - max) <= 1 in both forms.
+@settings(max_examples=150, deadline=None, database=None)
+@given(classes=st.integers(2, 12), rows=st.integers(1, 2000),
+       members=st.sampled_from([0, 1, 3]), layout=st.sampled_from(["C", "F", "strided"]),
+       scale=st.floats(1e-3, 300.0), seed=st.integers(0, 2**32 - 1))
+def test_softmax_and_loss_have_the_bits_of_the_row_form(classes, rows, members, layout,
+                                                        scale, seed):
+    rng = np.random.default_rng(seed)
+    lead = (members,) if members else ()
+    if layout == "strided":
+        z = (rng.normal(size=lead + (2 * rows, classes + 2)) * scale)[..., ::2, 1:-1]
+    else:
+        z = np.asarray(rng.normal(size=lead + (rows, classes)) * scale, order=layout)
+    want = _row_softmax(z)
+    assert np.ascontiguousarray(softmax(z)).tobytes() == want.tobytes()
+    for logits, probs in zip(z, want) if members else [(z, want)]:
+        idx = rng.integers(0, classes, size=rows)
+        picked = np.maximum(probs[np.arange(rows), idx], 1e-12)
+        assert loss(logits, idx, CLASSIFICATION) == float(-np.mean(np.log(picked)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +382,16 @@ def _stack_of(spec, count, seed):
     return nets, alone, stack(nets)
 
 
-@pytest.mark.parametrize("head", [REGRESSION, CLASSIFICATION])
+# A classification head below and above the 8-class limit of softmax's
+# column form.
+@pytest.mark.parametrize("head, classes", [
+    pytest.param(REGRESSION, 1, id=REGRESSION), pytest.param(CLASSIFICATION, 3, id=CLASSIFICATION),
+    pytest.param(CLASSIFICATION, 6, id="classification-6"),
+    pytest.param(CLASSIFICATION, 9, id="classification-9")])
 @pytest.mark.parametrize("hidden", [(), (7,), (7, 5)])
-def test_a_stack_gives_each_member_its_own_prediction_and_gradients(monkeypatch, head, hidden):
+def test_a_stack_gives_each_member_its_own_prediction_and_gradients(monkeypatch, head, classes,
+                                                                    hidden):
     rng = make_rng(21)
-    classes = 3 if head == CLASSIFICATION else 1
     nets, alone, group = _stack_of(NetworkSpec(4, hidden, classes, head), 3, 30)
     for k, net in enumerate(nets):  # each member's parameters are its row of the stack
         assert net.flat.base is group.flat and np.shares_memory(net.layers[0][0], group.flat)
