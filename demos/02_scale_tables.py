@@ -15,28 +15,24 @@ so you can see what each strategy emphasizes:
 
 import statistics
 
-from caadam.arch import summarize
-from caadam.linalg import make_rng
-from caadam.nn import NetworkSpec, init_network
+from caadam.nn import NetworkSpec
 from caadam.scaling import ScalingStrategy, compute_scale_table
 
 GAMMA = 0.95
 
 
 def show(input_dim, hidden, output_dim):
-    net = init_network(NetworkSpec(input_dim, hidden, output_dim), make_rng(0))
-    summary = summarize(net)
-    counts = summary.connection_counts()
+    counts = NetworkSpec(input_dim, hidden, output_dim).connection_counts
 
     dims = [input_dim, *hidden, output_dim]
     arrow = " -> ".join(str(d) for d in dims)
     print(f"architecture {arrow}")
-    print(f"  connection counts per layer: {counts}")
+    print(f"  connection counts per layer: {list(counts)}")
     print(f"  min {min(counts)}, median {float(statistics.median(counts))}, "
           f"max {max(counts)}\n")
 
     tables = {
-        kind: compute_scale_table(ScalingStrategy(kind, gamma=GAMMA), summary)
+        kind: compute_scale_table(ScalingStrategy(kind, gamma=GAMMA), counts)
         for kind in ("additive", "multiplicative", "depth_based")
     }
     header = f"  {'layer':<8} {'connections':>12}"

@@ -15,7 +15,6 @@ The short version:
 >>> rmse = ca.evaluate(net, split.test)
 """
 
-from .arch import ArchitectureSummary, summarize
 from .bench import (
     CellStats,
     ComparisonReport,
@@ -57,7 +56,6 @@ from .errors import (
     DataError,
     NonFiniteError,
     ShapeError,
-    StructureError,
 )
 from .linalg import Matrix, as_matrix, glorot_uniform, make_rng
 from .nn import (

@@ -21,10 +21,6 @@ class NonFiniteError(CaAdamError):
         self.members = members
 
 
-class StructureError(CaAdamError):
-    """A network or summary violates a structural requirement."""
-
-
 class ConfigError(CaAdamError):
     """A configuration value is missing, malformed, or out of range."""
 

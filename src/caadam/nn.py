@@ -56,9 +56,16 @@ class NetworkSpec:
         return list(zip(sizes[:-1], sizes[1:]))
 
     @property
+    def connection_counts(self) -> tuple[int, ...]:
+        """Weight edges (``fan_in * fan_out``, biases excluded) of every
+        trainable layer, in forward order: a layer's position is its
+        zero-based depth."""
+        return tuple(fan_in * fan_out for fan_in, fan_out in self.layer_dims)
+
+    @property
     def multiply_adds(self) -> int:
-        """Multiply-adds per row of a forward pass: ``sum(fan_in * fan_out)``."""
-        return sum(fan_in * fan_out for fan_in, fan_out in self.layer_dims)
+        """Multiply-adds per row of a forward pass."""
+        return sum(self.connection_counts)
 
 
 def split_views(vector: np.ndarray, shapes) -> list[np.ndarray]:

@@ -40,7 +40,6 @@ from numbers import Real
 
 import numpy as np
 
-from .arch import summarize
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .jsonio import PARSERS, STR, arguments, checked, read_json, write_json
 from .nn import GradientSet, Network, check_shapes, split_views
@@ -343,7 +342,7 @@ def make_optimizer(config: OptimizerConfig, net: Network | None = None) -> Optim
         raise ConfigError("caadam needs the network to derive its scale table")
     if config.scaling is None:
         raise ConfigError("caadam requires config.scaling to be set")
-    return CaAdam(config, compute_scale_table(config.scaling, summarize(net)))
+    return CaAdam(config, compute_scale_table(config.scaling, net.spec.connection_counts))
 
 
 def _scaling(value, what: str) -> ScalingStrategy | None:

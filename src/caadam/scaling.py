@@ -1,9 +1,9 @@
 """Per-layer scaling factors for connection-aware optimization.
 
-:func:`compute_scale_table` turns the connection counts of an
-:class:`~caadam.arch.ArchitectureSummary` into one positive factor S per
-layer, later multiplied into that layer's update so the effective learning
-rate becomes lr * S.  It holds all three rules:
+:func:`compute_scale_table` turns a network's connection counts
+(:attr:`~caadam.nn.NetworkSpec.connection_counts`) into one positive factor
+S per layer, later multiplied into that layer's update so the effective
+learning rate becomes lr * S.  It holds all three rules:
 
 * ``additive``: linear in where the layer's connection count sits between
   the network minimum, median, and maximum.  Layers at or below the median
@@ -30,8 +30,7 @@ import statistics
 import sys
 from dataclasses import dataclass
 
-from .arch import ArchitectureSummary
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -81,7 +80,7 @@ class ScalingStrategy:
 
 @dataclass(frozen=True)
 class ScaleTable:
-    """Per-layer factor S, indexed like the summary's layer list."""
+    """Per-layer factor S, indexed like the connection counts."""
 
     factors: tuple[float, ...]
 
@@ -106,13 +105,16 @@ def _sigma(c: int, low: int, med: float, high: int, signed: bool) -> float:
     return -s if signed else s
 
 
-def compute_scale_table(strategy: ScalingStrategy, summary: ArchitectureSummary) -> ScaleTable:
-    """One factor per trainable layer of ``summary`` by ``strategy``'s rule
-    (see the module docstring): S = 1 - gamma * sigma, gamma ** sigma, or
-    the depth power.  A min/median/max span that collapses gives sigma = 0,
-    the neutral S = 1, so degenerate architectures fall back to plain Adam.
+def compute_scale_table(strategy: ScalingStrategy, counts: tuple[int, ...]) -> ScaleTable:
+    """One factor per layer of ``counts`` (connection counts, in forward
+    order) by ``strategy``'s rule (see the module docstring): S = 1 - gamma *
+    sigma, gamma ** sigma, or the depth power.  A min/median/max span that
+    collapses gives sigma = 0, the neutral S = 1, so degenerate architectures
+    fall back to plain Adam.  Empty ``counts`` is a ShapeError.
     """
-    counts, gamma = summary.counts, strategy.gamma
+    if not counts:
+        raise ShapeError("network has no trainable layers")
+    gamma = strategy.gamma
     if strategy.kind == DEPTH:
         d_m = len(counts)
         return ScaleTable(tuple((1.0 + gamma) ** ((d_m - (1 + d)) / d_m) for d in range(d_m)))

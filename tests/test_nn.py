@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -67,6 +67,23 @@ def test_forward_rejects_nonfinite_activations():
     net.layers[0][0][0, 0] = np.inf
     with pytest.raises(NonFiniteError):
         forward(net, np.array([[1.0, 2.0]]))
+
+
+# 8 -> 64 -> 32 -> 1 has connection counts 512, 2048 and 32; a single layer
+# 5 -> 3 has 15.  Biases are not connections.
+@settings(max_examples=100, deadline=None, database=None)
+@given(sizes=st.lists(st.integers(1, 64), min_size=2, max_size=5), seed=st.integers(0, 2**32 - 1))
+@example(sizes=[8, 64, 32, 1], seed=0)
+@example(sizes=[5, 3], seed=0)
+def test_connection_counts_are_the_weight_edges_in_forward_order(sizes, seed):
+    spec = NetworkSpec(sizes[0], tuple(sizes[1:-1]), sizes[-1])
+    net = init_network(spec, make_rng(seed))
+    assert spec.connection_counts == tuple(w.shape[0] * w.shape[1] for w, _ in net.layers)
+    assert spec.multiply_adds == sum(spec.connection_counts)
+    if sizes == [8, 64, 32, 1]:
+        assert spec.connection_counts == (512, 2048, 32)
+    elif sizes == [5, 3]:
+        assert spec.connection_counts == (15,)
 
 
 def test_mse_hand_value():

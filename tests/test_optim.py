@@ -11,7 +11,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 import oracles
 from caadam.errors import ConfigError, NonFiniteError, ShapeError
 from caadam.linalg import make_rng
-from caadam.nn import GradientSet, Network, NetworkSpec, backward, forward, init_network, split_views
+from caadam.nn import (
+    GradientSet,
+    Network,
+    NetworkSpec,
+    backward,
+    forward,
+    init_network,
+    split_views,
+    stack,
+)
 from caadam.optim import (
     ALGORITHMS,
     DEFAULT_LR,
@@ -202,6 +211,15 @@ def test_make_optimizer_derives_caadam_table_from_architecture():
     config = OptimizerConfig("caadam", scaling=ScalingStrategy("multiplicative"))
     opt = make_optimizer(config, net)
     assert_allclose(opt.scale_table.factors, [1.0, 0.95, 1.0 / 0.95], rtol=1e-15)
+
+
+def test_a_stack_has_the_scale_table_of_each_member():
+    # a stack's weight arrays carry a leading member axis, so the table comes
+    # from the spec, not from the arrays' shapes
+    nets = [init_network(NetworkSpec(8, (64, 32), 1), make_rng(seed)) for seed in (1, 2)]
+    config = OptimizerConfig("caadam", scaling=ScalingStrategy("multiplicative"))
+    alone = [make_optimizer(config, net).scale_table for net in nets]
+    assert make_optimizer(config, stack(nets)).scale_table == alone[0] == alone[1]
 
 
 def test_make_optimizer_caadam_requirements():

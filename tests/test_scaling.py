@@ -10,10 +10,9 @@ import statistics
 import pytest
 from numpy.testing import assert_allclose
 
-from caadam.arch import ArchitectureSummary, summarize
-from caadam.errors import ConfigError
+from caadam.errors import ConfigError, ShapeError
 from caadam.linalg import make_rng
-from caadam.nn import NetworkSpec, init_network
+from caadam.nn import NetworkSpec
 from caadam.scaling import (
     ADDITIVE,
     DEPTH,
@@ -23,11 +22,11 @@ from caadam.scaling import (
     compute_scale_table,
 )
 
-THREE = ArchitectureSummary((100, 200, 400))
+THREE = (100, 200, 400)
 
 
-def table(kind, summary, gamma=0.95, sigma="signed"):
-    return compute_scale_table(ScalingStrategy(kind, gamma, sigma), summary)
+def table(kind, counts, gamma=0.95, sigma="signed"):
+    return compute_scale_table(ScalingStrategy(kind, gamma, sigma), counts)
 
 
 def test_additive_worked_example():
@@ -60,9 +59,26 @@ def test_real_network_scale_tables():
     # 8 -> 64 -> 32 -> 1 has counts [512, 2048, 32], median 512: the middle
     # (largest) layer is damped, the output layer enhanced, the input layer
     # sits exactly on the median and stays neutral.
-    summary = summarize(init_network(NetworkSpec(8, (64, 32), 1), make_rng(0)))
-    assert_allclose(table(ADDITIVE, summary).factors, [1.0, 0.05, 1.95], atol=1e-15)
-    assert_allclose(table(MULTIPLICATIVE, summary).factors, [1.0, 0.95, 1.0 / 0.95], rtol=1e-15)
+    counts = NetworkSpec(8, (64, 32), 1).connection_counts
+    assert_allclose(table(ADDITIVE, counts).factors, [1.0, 0.05, 1.95], atol=1e-15)
+    assert_allclose(table(MULTIPLICATIVE, counts).factors, [1.0, 0.95, 1.0 / 0.95], rtol=1e-15)
+
+
+def test_even_layer_count_median_is_neutral_on_the_median_layers():
+    # 8 -> 64 -> 32 -> 16 -> 1: counts [512, 2048, 512, 16], sorted
+    # [16, 512, 512, 2048], so the median is (512 + 512) / 2 and both layers
+    # of 512 sit on it: neutral under the additive rule
+    counts = NetworkSpec(8, (64, 32, 16), 1).connection_counts
+    assert counts == (512, 2048, 512, 16)
+    factors = table(ADDITIVE, counts).factors
+    assert factors[0] == factors[2] == 1.0
+
+
+@pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE, DEPTH])
+def test_no_trainable_layers_is_a_shape_error(kind):
+    # no NetworkSpec has zero layers, but compute_scale_table is public
+    with pytest.raises(ShapeError, match="no trainable layers"):
+        table(kind, ())
 
 
 # The factors of every kind on the benchmark architectures at the default
@@ -89,16 +105,16 @@ _BENCHMARK_TABLES = {
 
 @pytest.mark.parametrize("dims", sorted(_BENCHMARK_TABLES))
 def test_benchmark_architecture_tables_are_exact(dims):
-    summary = summarize(init_network(NetworkSpec(*dims), make_rng(0)))
-    got = {kind: table(kind, summary).factors for kind in (ADDITIVE, MULTIPLICATIVE, DEPTH)}
-    got["unsigned"] = table(MULTIPLICATIVE, summary, sigma="unsigned").factors
+    counts = NetworkSpec(*dims).connection_counts
+    got = {kind: table(kind, counts).factors for kind in (ADDITIVE, MULTIPLICATIVE, DEPTH)}
+    got["unsigned"] = table(MULTIPLICATIVE, counts, sigma="unsigned").factors
     assert got == _BENCHMARK_TABLES[dims]
 
 
 def test_four_layer_interior_positions():
     # counts [1024, 8192, 2048, 32]: median is (1024 + 2048) / 2 = 1536, so
     # two layers sit strictly between an extreme and the median
-    got = table(MULTIPLICATIVE, ArchitectureSummary((1024, 8192, 2048, 32)))
+    got = table(MULTIPLICATIVE, (1024, 8192, 2048, 32))
     expected = []
     for c in [1024, 8192, 2048, 32]:
         if c <= 1536:
@@ -113,12 +129,11 @@ def test_degenerate_architecture_is_neutral():
     # all layers share one connection count: both min-max-median rules
     # collapse to S = 1 everywhere
     for kind in (ADDITIVE, MULTIPLICATIVE):
-        assert table(kind, ArchitectureSummary((320, 320, 320))).factors == (1.0, 1.0, 1.0)
-        assert table(kind, ArchitectureSummary((48,))).factors == (1.0,)
+        assert table(kind, (320, 320, 320)).factors == (1.0, 1.0, 1.0)
+        assert table(kind, (48,)).factors == (1.0,)
     # an even count's median is the mean of the middle two, here (2 + 4) / 2 = 3,
     # whatever the layer order: the layers of 4 and 2 sit halfway to an extreme
-    assert table(ADDITIVE, ArchitectureSummary((5, 1, 4, 2)), 0.5).factors == (
-        0.5, 1.5, 0.75, 1.25)
+    assert table(ADDITIVE, (5, 1, 4, 2), 0.5).factors == (0.5, 1.5, 0.75, 1.25)
 
 
 def test_multiplicative_symmetry_and_additive_range_random_architectures():
@@ -126,22 +141,21 @@ def test_multiplicative_symmetry_and_additive_range_random_architectures():
     for _ in range(50):
         depth = int(rng.integers(1, 6))
         sizes = [int(rng.integers(1, 200)) for _ in range(depth + 1)]
-        counts = [a * b for a, b in zip(sizes[:-1], sizes[1:])]
-        summary = ArchitectureSummary(tuple(counts))
+        counts = tuple(a * b for a, b in zip(sizes[:-1], sizes[1:]))
         gamma = float(rng.uniform(0.05, 0.99))
 
-        add = table(ADDITIVE, summary, gamma)
+        add = table(ADDITIVE, counts, gamma)
         assert all(1.0 - gamma - 1e-12 <= s <= 1.0 + gamma + 1e-12
                    for s in add.factors)
 
-        mult = table(MULTIPLICATIVE, summary, gamma)
+        mult = table(MULTIPLICATIVE, counts, gamma)
         assert all(gamma - 1e-12 <= s <= 1.0 / gamma + 1e-12 for s in mult.factors)
         if min(counts) < statistics.median(counts) < max(counts):
             s_min = mult.factors[counts.index(min(counts))]
             s_max = mult.factors[counts.index(max(counts))]
             assert abs(s_min * s_max - 1.0) <= 1e-12
 
-        dep = table(DEPTH, summary, gamma)
+        dep = table(DEPTH, counts, gamma)
         assert dep.factors[-1] == 1.0
         assert all(a >= b for a, b in zip(dep.factors, dep.factors[1:]))
 
