@@ -12,7 +12,7 @@ the same learning rate, and the same number of steps.
 
 import numpy as np
 
-from caadam.nn import GradientSet, Network, NetworkSpec
+from caadam.nn import Network, NetworkSpec
 from caadam.optim import ALGORITHMS, CaAdam, OptimizerConfig, make_optimizer
 from caadam.scaling import ScaleTable
 
@@ -33,7 +33,7 @@ def bowl_grads(net):
     b = float(net.layers[0][1][0])
     gw = 2.0 * (w - TARGET_W)
     gb = 2.0 * (b - TARGET_B)
-    return GradientSet(layers=[(np.array([[gw]]), np.array([gb]))])
+    return np.array([gw, gb])  # laid out as net.flat: W0, then b0
 
 
 ###############################################################################

@@ -29,8 +29,9 @@ change/parent ratio of each pair and of the medians, the pairs the change won
 it won at least nine pairs in ten and its median moved the right way by more
 than the parent's interquartile range.  Under ``tier1`` the record holds
 three Tier-1 test suite runs per side, alternating which side runs first:
-per side the command, each run's wall time, exit code and summary line, and
-the ``summarise`` of the wall times (``wall_s``).  Each call writes a new
+per side the command, each run's wall time, exit code, summary line and
+the ``FAILED``/``ERROR`` lines that name its failing tests, and the
+``summarise`` of the wall times (``wall_s``).  Each call writes a new
 ``--out``, replacing any file there, so every run in a record comes from the
 two trees that the record names.
 
@@ -136,15 +137,20 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
 
 
 def run_tier1(checkout: str) -> dict:
-    """One Tier-1 run in ``checkout``: its wall time, exit code and summary line."""
+    """One Tier-1 run in ``checkout``: its wall time, exit code, last line,
+    and the ``FAILED ...`` and ``ERROR ...`` lines of pytest's short test
+    summary, which name each failing test."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (os.path.join(checkout, "src"), os.environ.get("PYTHONPATH")) if p)}
     started = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=3600)
     wall = time.perf_counter() - started
-    return {"wall_s": wall, "exit_code": proc.returncode,
-            "summary": proc.stdout.strip().splitlines()[-1]}
+    lines = proc.stdout.strip().splitlines()
+    start = next((i for i, line in enumerate(lines) if "short test summary info" in line),
+                 len(lines))
+    return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1],
+            "failed": [line for line in lines[start:] if line.startswith(("FAILED ", "ERROR "))]}
 
 
 def tier1_record(checkouts: dict) -> dict:

@@ -61,7 +61,6 @@ from .linalg import Matrix, as_matrix, glorot_uniform, make_rng
 from .nn import (
     CLASSIFICATION,
     REGRESSION,
-    GradientSet,
     Network,
     NetworkSpec,
     Workspace,

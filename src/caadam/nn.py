@@ -8,8 +8,9 @@ together with the ``Workspace`` it wrote, which is the activation cache that
 
 Parameters live in one contiguous float64 vector per network, laid out
 W0, b0, W1, b1, ... with each weight matrix row-major; the per-layer
-``(W, b)`` pairs are views into it.  Gradients and weight snapshots use the
-same layout, so an optimizer updates a whole network with one vector expression.
+``(W, b)`` pairs are views into it.  Gradients and weight snapshots are plain
+vectors of the same layout, so an optimizer updates a whole network with one
+vector expression.
 
 Networks of one layout can also train as a group (``stack``): their vectors
 become the rows of one ``(K, P)`` array, every per-tensor view gains a
@@ -98,18 +99,6 @@ def _pairs(tensors: list[np.ndarray]) -> list[tuple[Matrix, np.ndarray]]:
     return list(zip(tensors[::2], tensors[1::2]))
 
 
-def _pack(layers) -> tuple[np.ndarray, tuple, list[tuple[Matrix, np.ndarray]]]:
-    """Copy (W, b) pairs into one new vector; returns (vector, per-tensor
-    shapes, (W, b) views into the vector)."""
-    tensors = [np.asarray(a, dtype=np.float64) for pair in layers for a in pair]
-    shapes = tuple(a.shape for a in tensors)
-    vector = np.empty(sum(a.size for a in tensors))
-    views = split_views(vector, shapes)
-    for view, a in zip(views, tensors):
-        view[...] = a
-    return vector, shapes, _pairs(views)
-
-
 @dataclass
 class Network:
     """Layer layout plus parameters.  ``flat`` owns every parameter;
@@ -124,9 +113,12 @@ class Network:
     shapes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.flat, self.shapes, self.layers = _pack(self.layers)
+        tensors = [np.asarray(a, dtype=np.float64) for pair in self.layers for a in pair]
+        self.shapes = tuple(a.shape for a in tensors)
         check_shapes(self.shapes, tuple(shape for dims in self.spec.layer_dims
                                         for shape in (dims, dims[1:])), "layer list")
+        self.flat = np.concatenate([a.ravel() for a in tensors])
+        self.layers = _pairs(split_views(self.flat, self.shapes))
 
     def adopt(self, flat: np.ndarray) -> None:
         """Make ``flat`` this network's parameters, without a copy: a vector
@@ -166,23 +158,6 @@ def stack(nets: list[Network]) -> Network:
     return group
 
 
-@dataclass
-class GradientSet:
-    """Per-layer (weight gradient, bias gradient), shape-congruent with a Network.
-
-    ``flat`` holds every gradient in the layout of ``Network.flat`` and
-    ``layers`` holds (dW, db) views into it.  Built from ``layers`` alone,
-    the arrays are copied into a new vector."""
-
-    layers: list[tuple[Matrix, np.ndarray]]
-    flat: np.ndarray | None = None
-    shapes: tuple | None = None
-
-    def __post_init__(self):
-        if self.flat is None:
-            self.flat, self.shapes, self.layers = _pack(self.layers)
-
-
 # The least row-block height: each block goes through every layer while its
 # hidden rows are still in cache.  Chosen from a sweep of 64-2048 rows on the
 # benchmark shapes (CHANGES.md): shorter blocks cost more in per-call
@@ -202,10 +177,10 @@ def workspace_shapes(spec: NetworkSpec, rows: int, block_rows: int) -> list[tupl
 class Workspace:
     """Reused buffers for ``forward`` and ``backward`` on one network layout,
     and the cache that ``forward`` returns: one float64 ``block`` holding the
-    output rows of every layer and ``grads``, a GradientSet of views laid
-    out as ``Network.flat``.  For a stack of K networks every buffer has a
-    leading member axis ``lead == (K,)`` (``()`` for one network), and
-    ``member_grads`` holds each member's GradientSet, a row of ``grads``.
+    output rows of every layer and ``grads``, the gradients in the shape of
+    ``Network.flat``, with ``grad_layers`` its (dW, db) views.  For a stack
+    of K networks every buffer has a leading member axis ``lead == (K,)``
+    (``()`` for one network), and member k's gradients are ``grads[k]``.
     ``batch_rows`` is the most rows a caller needs
     as one block, such as a training batch that ``backward`` follows.  The
     output layer has ``rows`` rows; each hidden layer has ``block_rows``,
@@ -219,7 +194,7 @@ class Workspace:
     ``backward`` has consumed that pass, after ``forward`` raised, and after
     a forward over more than one block, whose hidden rows hold only its last
     block.  A workspace with ``backward=False`` serves forward passes alone,
-    in the same blocks: its ``grads``, ``member_grads`` and ``batch`` stay None."""
+    in the same blocks: its ``grads``, ``grad_layers`` and ``batch`` stay None."""
 
     def __init__(self, net: Network, rows: int, batch_rows: int = 0, backward: bool = True):
         self.rows, self.shapes, self.lead = rows, net.shapes, net.flat.shape[:-1]
@@ -229,17 +204,11 @@ class Workspace:
         self.block = np.empty(sum(math.prod(shape) for shape in shapes))
         views = split_views(self.block, shapes)
         self.outputs = views[: len(net.layers)]
-        self.grads = self.member_grads = None
+        self.grads = self.grad_layers = None
         if backward:
-            self.grads = _gradient_set(views[-1], net.shapes)
-            self.member_grads = ([_gradient_set(row, net.shapes) for row in views[-1]]
-                                 if self.lead else [self.grads])
+            self.grads = views[-1]
+            self.grad_layers = _pairs(split_views(self.grads, net.shapes))
         self.batch: Matrix | None = None
-
-
-def _gradient_set(flat: np.ndarray, shapes: tuple) -> GradientSet:
-    """A GradientSet of views into ``flat``, a vector or a (K, P) stack."""
-    return GradientSet(_pairs(split_views(flat, shapes)), flat, shapes)
 
 
 def _non_finite(values: np.ndarray, stacked: bool, message: str) -> NonFiniteError:
@@ -385,13 +354,14 @@ def loss(prediction: Matrix, targets, head: str) -> float:
     return value
 
 
-def backward(net: Network, cache: Workspace, targets) -> GradientSet:
+def backward(net: Network, cache: Workspace, targets) -> np.ndarray:
     """Exact gradients of the batch loss for every weight and bias.
 
     ``cache`` is the workspace of a ``forward`` call on this network layout;
-    the gradients go into its ``grads``, which this returns.  Each hidden
-    layer's error overwrites that layer's output rows after its ReLU mask is
-    read from them, so a forward pass serves one ``backward`` call; the
+    the gradients go into its ``grad_layers``, views of its ``grads``, which
+    this returns: an array of ``net.flat``'s shape.  Each hidden layer's
+    error overwrites that layer's output rows after its ReLU mask is read
+    from them, so a forward pass serves one ``backward`` call; the
     prediction survives.  On a stack each member's gradients are those of
     the member alone, and non-finite ones raise NonFiniteError naming their
     members.
@@ -420,7 +390,6 @@ def backward(net: Network, cache: Workspace, targets) -> GradientSet:
         dz /= n
 
     cache.batch = None
-    grads = cache.grads
     stacked = bool(cache.lead)
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -430,7 +399,7 @@ def backward(net: Network, cache: Workspace, targets) -> GradientSet:
             # slower for a wide hidden layer's (CHANGES.md).  On a stack it
             # would contract across members, so a stack uses np.matmul.
             product = np.dot if i == last and not stacked else np.matmul
-            dw, db = grads.layers[i]
+            dw, db = cache.grad_layers[i]
             rows = cache.outputs[i - 1][..., :n, :] if i > 0 else x
             product(rows.swapaxes(-1, -2), dz, out=dw)
             dz.sum(axis=-2, out=db)
@@ -438,6 +407,6 @@ def backward(net: Network, cache: Workspace, targets) -> GradientSet:
                 mask = rows > 0.0
                 dz = product(dz, net.layers[i][0].swapaxes(-1, -2), out=rows)
                 dz *= mask
-    if not np.isfinite(grads.flat).all():
-        raise _non_finite(grads.flat, stacked, "backward pass produced non-finite gradients")
-    return grads
+    if not np.isfinite(cache.grads).all():
+        raise _non_finite(cache.grads, stacked, "backward pass produced non-finite gradients")
+    return cache.grads

@@ -1,9 +1,10 @@
 """Optimizer suite with a uniform stepping contract.
 
-Every optimizer consumes a :class:`~caadam.nn.Network` plus a matching
-:class:`~caadam.nn.GradientSet` and applies one update step.  The learning
-rate is passed per step so an external schedule composes without mutating
-the optimizer; a config may set only the hyper-parameters its algorithm reads.
+Every optimizer consumes a :class:`~caadam.nn.Network` plus its gradients,
+an array of ``Network.flat``'s shape, and applies one update step.  The
+learning rate is passed per step so an external schedule composes without
+mutating the optimizer; a config may set only the hyper-parameters its
+algorithm reads.
 
 Implemented algorithms, each advancing its own accumulators:
 
@@ -22,7 +23,7 @@ Implemented algorithms, each advancing its own accumulators:
                  derived from the network architecture (see ``scaling``)
 
 Every rule updates the whole network at once: it reads the parameter and
-gradient vectors (``Network.flat``, ``GradientSet.flat``) and keeps each
+gradient vectors (``Network.flat`` and the gradients) and keeps each
 accumulator as one vector of the same layout, allocated at zero on the
 first step.  A step updates the accumulators in place and writes the update
 into one vector the optimizer owns, using one scratch vector; both are
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .jsonio import PARSERS, STR, arguments, checked, read_json, write_json
-from .nn import GradientSet, Network, check_shapes, split_views
+from .nn import Network, split_views
 from .scaling import ScaleTable, ScalingStrategy, compute_scale_table
 
 CHECKPOINT_VERSION = 1
@@ -101,11 +102,15 @@ class Optimizer:
 
     # -- stepping ---------------------------------------------------------
 
-    def step(self, net: Network, grads: GradientSet, lr: float = DEFAULT_LR) -> Network:
-        """Advance one step: update accumulators, then shift the parameters."""
+    def step(self, net: Network, grads: np.ndarray, lr: float = DEFAULT_LR) -> Network:
+        """Advance one step: update accumulators, then shift the parameters.
+        ``grads`` of another shape than ``net.flat`` is a ShapeError, raised
+        before anything changes."""
         if isinstance(lr, bool) or not isinstance(lr, Real) or not 0.0 < lr < math.inf:
             raise ConfigError(f"lr must be > 0 and finite, got {lr!r}")
-        check_shapes(grads.shapes, net.shapes, "gradient set")
+        if np.shape(grads) != net.flat.shape:
+            raise ShapeError(f"gradients of shape {np.shape(grads)} for parameters of shape "
+                             f"{net.flat.shape}")
         if self._shapes is None:
             self._set_state(net.shapes, {name: np.zeros_like(net.flat)
                                          for name in self.slot_names})
@@ -114,7 +119,7 @@ class Optimizer:
         neg_lr = self._neg_lr(net, lr)
         self.t += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            self._update(net.flat, grads.flat, neg_lr)
+            self._update(net.flat, grads, neg_lr)
         delta = self._delta
         if not np.isfinite(delta).all():
             bad = next(i for i, d in enumerate(split_views(delta, net.shapes))

@@ -254,7 +254,7 @@ class _Group:
         self.net = stack([m.net for m in self.live])
         self.workspace = Workspace(self.net, min(self.batch_size, self.data.train.n_samples),
                                    self.batch_size)
-        for member, grads in zip(self.live, self.workspace.member_grads):
+        for member, grads in zip(self.live, self.workspace.grads.reshape(len(self.live), -1)):
             member.grads = grads
 
     def leave(self, members: list[_Member], reason: str | None = None) -> None:

@@ -32,7 +32,6 @@ from caadam.linalg import make_rng
 from caadam.nn import (
     CLASSIFICATION,
     REGRESSION,
-    GradientSet,
     Network,
     NetworkSpec,
     backward,
@@ -72,8 +71,7 @@ def test_update_rules_match_scalar_oracles():
                       layers=[(np.array([[w0]]), np.array([b0]))])
         ws, bs = [], []
         for gw, gb in grad_pairs:
-            opt.step(net, GradientSet(layers=[(np.array([[gw]]),
-                                               np.array([gb]))]))
+            opt.step(net, np.array([gw, gb]))
             ws.append(float(net.layers[0][0][0, 0]))
             bs.append(float(net.layers[0][1][0]))
         oracle = oracles.TRAJECTORIES[algorithm]
@@ -212,10 +210,10 @@ def test_backprop_gradients_match_finite_differences():
             else:
                 y = rng.integers(0, out_dim, size=10)
             _, cache = forward(net, x)
-            analytic = backward(net, cache, y)
+            backward(net, cache, y)
             numeric = _numeric_grads(net, x, y, head)
             worst = 0.0
-            for (aw, ab), (nw, nb) in zip(analytic.layers, numeric):
+            for (aw, ab), (nw, nb) in zip(cache.grad_layers, numeric):
                 for a, n in ((aw, nw), (ab, nb)):
                     rel = np.abs(a - n) / np.maximum(np.abs(n), 1e-8)
                     worst = max(worst, float(rel.max()))

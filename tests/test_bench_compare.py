@@ -6,6 +6,7 @@ adds to a record; and the Tier-1 runs a record keeps."""
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -185,3 +186,36 @@ def test_tier1_runs_three_times_per_side_alternating_and_keeps_every_run(monkeyp
     assert parent["wall_s"]["median"] == 4.0 and change["wall_s"]["median"] == 3.0
     assert parent["wall_s"]["values"] == [1.0, 4.0, 5.0] and {"q1", "q3"} <= set(parent["wall_s"])
     assert parent["command"].startswith("PYTHONPATH=src python -m pytest")
+
+
+# The tail of a ``pytest -q`` run with two failures; the traceback's captured
+# output holds a line that starts with FAILED, which is not a failing test.
+TIER1_OUTPUT = """\
+..F.F.                                                                   [100%]
+=================================== FAILURES ===================================
+___________________________________ test_b _____________________________________
+----------------------------- Captured stdout call -----------------------------
+FAILED to converge
+E       assert False
+=========================== short test summary info ============================
+FAILED tests/test_a.py::test_b - assert False
+FAILED tests/test_c.py::test_d[adam] - ValueError: boom
+2 failed, 4 passed in 0.50s
+"""
+
+
+def test_a_tier1_run_keeps_the_names_of_its_failing_tests(monkeypatch):
+    seen = {}
+
+    def run(argv, **kwargs):
+        seen.update(argv=argv, cwd=kwargs["cwd"], path=kwargs["env"]["PYTHONPATH"])
+        return subprocess.CompletedProcess(argv, 1, stdout=TIER1_OUTPUT, stderr="")
+
+    monkeypatch.setattr(bench_compare.subprocess, "run", run)
+    out = bench_compare.run_tier1("/checkout")
+    assert seen["argv"] == bench_compare.TIER1 and seen["cwd"] == "/checkout"
+    assert seen["path"].split(os.pathsep)[0] == os.path.join("/checkout", "src")
+    assert out["exit_code"] == 1 and out["summary"] == "2 failed, 4 passed in 0.50s"
+    assert out["failed"] == ["FAILED tests/test_a.py::test_b - assert False",
+                             "FAILED tests/test_c.py::test_d[adam] - ValueError: boom"]
+    assert out["wall_s"] >= 0.0

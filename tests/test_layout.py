@@ -8,7 +8,7 @@ from numpy.testing import assert_array_equal
 from caadam.data import split_standardize, synth_regression
 from caadam.errors import NonFiniteError
 from caadam.linalg import make_rng
-from caadam.nn import GradientSet, Network, NetworkSpec, backward, forward, init_network
+from caadam.nn import Network, NetworkSpec, backward, forward, init_network, split_views
 from caadam.optim import ALGORITHMS, OptimizerConfig, make_optimizer
 from caadam.scaling import ScalingStrategy
 from caadam.train import STOP_EARLY, TrainConfig, train
@@ -68,10 +68,10 @@ def test_backward_gradients_view_one_vector():
     net = init_network(SPEC, make_rng(3))
     _, cache = forward(net, make_rng(4).normal(size=(5, 3)))
     grads = backward(net, cache, np.zeros((5, 1)))
-    assert grads.flat.shape == net.flat.shape
-    seen = np.concatenate([a.ravel() for pair in grads.layers for a in pair])
-    assert_array_equal(seen, grads.flat)
-    assert all(np.shares_memory(a, grads.flat) for pair in grads.layers for a in pair)
+    assert grads.shape == net.flat.shape
+    seen = np.concatenate([a.ravel() for pair in cache.grad_layers for a in pair])
+    assert_array_equal(seen, grads)
+    assert all(np.shares_memory(a, grads) for pair in cache.grad_layers for a in pair)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -91,11 +91,11 @@ def test_step_moves_what_forward_reads(algorithm):
 def test_nonfinite_gradient_leaves_the_vector_untouched(algorithm):
     net = init_network(SPEC, make_rng(7))
     opt = make_optimizer_for(algorithm, net)
-    good = GradientSet(layers=net.layers)
+    good = net.flat.copy()
     opt.step(net, good)
     before = net.flat.copy()
-    bad = GradientSet(layers=net.layers)
-    bad.layers[1][1][0] = np.inf  # b1: tensor 3 of W0, b0, W1, b1, W2, b2
+    bad = net.flat.copy()
+    split_views(bad, net.shapes)[3][0] = np.inf  # b1: tensor 3 of W0, b0, W1, b1, W2, b2
     with pytest.raises(NonFiniteError, match="tensor 3 at step t=2"):
         opt.step(net, bad)
     assert net.flat.tobytes() == before.tobytes()

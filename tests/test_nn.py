@@ -192,9 +192,9 @@ def test_backward_single_layer_hand_case():
     net = Network(spec=spec, layers=[(np.array([[1.0]]), np.array([0.0]))])
     pred, cache = forward(net, np.array([[2.0]]))
     assert pred[0, 0] == 2.0
-    grads = backward(net, cache, np.array([[0.0]]))
-    assert grads.layers[0][0][0, 0] == 8.0
-    assert grads.layers[0][1][0] == 4.0
+    backward(net, cache, np.array([[0.0]]))
+    assert cache.grad_layers[0][0][0, 0] == 8.0
+    assert cache.grad_layers[0][1][0] == 4.0
 
 
 def test_backward_two_layer_hand_case():
@@ -206,8 +206,8 @@ def test_backward_two_layer_hand_case():
     #   dW0 = x^T dz0 = [[11.5, 0], [23, 0]],   db0 = [11.5, 0]
     net = hand_net()
     _, cache = forward(net, np.array([[1.0, 2.0]]))
-    grads = backward(net, cache, np.array([[0.0]]))
-    (dw0, db0), (dw1, db1) = grads.layers
+    backward(net, cache, np.array([[0.0]]))
+    (dw0, db0), (dw1, db1) = cache.grad_layers
     assert_allclose(dw1, [[63.25], [0.0]], atol=1e-14)
     assert_allclose(db1, [11.5], atol=1e-14)
     assert_allclose(dw0, [[11.5, 0.0], [23.0, 0.0]], atol=1e-14)
@@ -219,9 +219,9 @@ def test_backward_classification_hand_case():
     spec = NetworkSpec(1, (), 2, output_head=CLASSIFICATION)
     net = Network(spec=spec, layers=[(np.array([[0.0, 0.0]]), np.array([0.0, 0.0]))])
     _, cache = forward(net, np.array([[1.0]]))
-    grads = backward(net, cache, [0])
-    assert_allclose(grads.layers[0][0], [[-0.5, 0.5]], atol=1e-15)
-    assert_allclose(grads.layers[0][1], [-0.5, 0.5], atol=1e-15)
+    backward(net, cache, [0])
+    assert_allclose(cache.grad_layers[0][0], [[-0.5, 0.5]], atol=1e-15)
+    assert_allclose(cache.grad_layers[0][1], [-0.5, 0.5], atol=1e-15)
 
 
 def _numeric_grads(net, x, y, head, h=1e-6):
@@ -261,9 +261,9 @@ def test_gradients_match_finite_differences_regression(hidden):
     x = rng.uniform(-1.0, 1.0, size=(5, 3))
     y = rng.normal(size=(5, 2))
     _, cache = forward(net, x)
-    grads = backward(net, cache, y)
+    backward(net, cache, y)
     numeric = _numeric_grads(net, x, y, REGRESSION)
-    assert _max_rel_err(grads.layers, numeric) <= 1e-4
+    assert _max_rel_err(cache.grad_layers, numeric) <= 1e-4
 
 
 @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
@@ -273,9 +273,9 @@ def test_gradients_match_finite_differences_classification(hidden):
     x = rng.uniform(-1.0, 1.0, size=(5, 3))
     y = rng.integers(0, 3, size=5)
     _, cache = forward(net, x)
-    grads = backward(net, cache, y)
+    backward(net, cache, y)
     numeric = _numeric_grads(net, x, y, CLASSIFICATION)
-    assert _max_rel_err(grads.layers, numeric) <= 1e-4
+    assert _max_rel_err(cache.grad_layers, numeric) <= 1e-4
 
 
 def test_backward_rejects_foreign_cache():
@@ -320,12 +320,12 @@ def test_workspace_calls_match_one_call_workspaces_and_reuse_the_buffers(head):
         assert grads_ws[-1] is ws.grads
         assert_array_equal(pred_ws, pred)
         assert_array_equal(pred_ws, kept)  # backward leaves the prediction as it was
-        assert_array_equal(grads_ws[-1].flat, grads.flat)
-        assert not np.shares_memory(grads.flat, ws.block)
+        assert_array_equal(grads_ws[-1], grads)
+        assert not np.shares_memory(grads, ws.block)
     with pytest.raises(ValueError, match="already consumed"):  # its hidden rows hold errors now
         backward(net, cache_ws, y[rows])
-    assert all(np.shares_memory(g.flat, ws.block) for g in grads_ws)
-    assert grads_ws[0].flat is grads_ws[1].flat  # the second step overwrote the first
+    assert all(np.shares_memory(g, ws.block) for g in grads_ws)
+    assert grads_ws[0] is grads_ws[1]  # the second step overwrote the first
     pred, cache = forward(net, x, ws)  # evaluation uses every row
     assert np.shares_memory(pred, ws.block)
     with pytest.raises(NonFiniteError):
@@ -416,17 +416,17 @@ def test_a_stack_gives_each_member_its_own_prediction_and_gradients(monkeypatch,
     x = rng.normal(size=(23, 4))
     y = rng.integers(0, classes, size=23) if head == CLASSIFICATION else rng.normal(size=(23, 1))
     ws = Workspace(group, rows=23)
-    assert ws.lead == (3,) and len(ws.member_grads) == 3
+    assert ws.lead == (3,) and ws.grads.shape == group.flat.shape
     for rows in (slice(0, 16), slice(16, 23), slice(4, 5)):  # a batch, a remainder, one row
         pred, cache = forward(group, x[rows], ws)
         grads = backward(group, cache, y[rows])
         for k, one in enumerate(alone):
             pred_one, cache_one = forward(one, x[rows])
             assert pred[k].tobytes() == pred_one.tobytes()
-            expected = backward(one, cache_one, y[rows]).flat
-            assert ws.member_grads[k].flat.tobytes() == expected.tobytes()
-            assert np.shares_memory(ws.member_grads[k].flat, grads.flat[k])
-            assert ws.member_grads[k].shapes == one.shapes
+            expected = backward(one, cache_one, y[rows])
+            assert ws.grads[k].shape == expected.shape
+            assert ws.grads[k].tobytes() == expected.tobytes()
+            assert grads is ws.grads and np.shares_memory(ws.grads[k], ws.block)
     monkeypatch.setattr(importlib.import_module("caadam.nn"), "BLOCK_ROWS", 1)
     ws = Workspace(group, rows=23, batch_rows=4)
     pred, _ = forward(group, x, ws)

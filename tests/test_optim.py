@@ -12,7 +12,6 @@ import oracles
 from caadam.errors import ConfigError, NonFiniteError, ShapeError
 from caadam.linalg import make_rng
 from caadam.nn import (
-    GradientSet,
     Network,
     NetworkSpec,
     backward,
@@ -61,8 +60,7 @@ def make_named(algorithm, **hyper):
 def drive(opt, net, grad_pairs, lr=1e-3):
     ws, bs = [], []
     for gw, gb in grad_pairs:
-        grads = GradientSet(layers=[(np.array([[gw]]), np.array([gb]))])
-        opt.step(net, grads, lr=lr)
+        opt.step(net, np.array([gw, gb]), lr=lr)
         ws.append(float(net.layers[0][0][0, 0]))
         bs.append(float(net.layers[0][1][0]))
     return ws, bs
@@ -94,8 +92,7 @@ def test_bowl_convergence(algorithm):
     opt = make_named(algorithm)
     for _ in range(4000):
         w = net.layers[0][0][0, 0]
-        grads = GradientSet(layers=[(np.array([[2.0 * (w - 3.0)]]), np.array([0.0]))])
-        opt.step(net, grads, lr=0.1)
+        opt.step(net, np.array([2.0 * (w - 3.0), 0.0]), lr=0.1)
     assert abs(net.layers[0][0][0, 0] - 3.0) <= 0.01
     # the bias never saw a nonzero gradient and must not move
     assert net.layers[0][1][0] == 0.0
@@ -126,16 +123,15 @@ def test_adamax_zero_gradient_coordinate_stays_put():
 def test_step_without_lr_uses_default_lr():
     net = scalar_net(w0=1.0, b0=1.0)
     opt = make_optimizer(OptimizerConfig("sgd"))
-    opt.step(net, GradientSet(layers=[(np.array([[2.0]]), np.array([4.0]))]))
+    opt.step(net, np.array([2.0, 4.0]))
     assert net.layers[0][0][0, 0] == 1.0 - DEFAULT_LR * 2.0
     assert net.layers[0][1][0] == 1.0 - DEFAULT_LR * 4.0
 
 
 def test_step_rejects_bad_lr():
     opt = make_named("sgd")
-    grads = GradientSet(layers=[(np.zeros((1, 1)), np.zeros(1))])
     with pytest.raises(ConfigError, match="lr must be > 0"):
-        opt.step(scalar_net(), grads, lr=0.0)
+        opt.step(scalar_net(), np.zeros(2), lr=0.0)
 
 
 @pytest.mark.parametrize("lr", [math.nan, math.inf, True, None, "0.1"])
@@ -151,20 +147,20 @@ def test_step_with_non_finite_lr_fails_before_changing_state(lr):
 
 def test_step_rejects_nonfinite_update():
     opt = make_named("sgd")
-    grads = GradientSet(layers=[(np.array([[np.inf]]), np.zeros(1))])
     with pytest.raises(NonFiniteError, match="tensor 0"):
-        opt.step(scalar_net(), grads)
+        opt.step(scalar_net(), np.array([np.inf, 0.0]))
 
 
 def test_step_rejects_mismatched_gradients():
     net = init_network(NetworkSpec(2, (3,), 1), make_rng(0))
     opt = make_named("adam")
-    with pytest.raises(ShapeError, match="parameter count"):
-        opt.step(net, GradientSet(layers=[(np.zeros((2, 3)), np.zeros(3))]))
-    bad = GradientSet(layers=[(np.zeros((2, 3)), np.zeros(3)),
-                              (np.zeros((1, 3)), np.zeros(1))])
-    with pytest.raises(ShapeError, match="parameter 2"):
-        opt.step(net, bad)
+    opt.step(net, np.ones(net.flat.size))
+    before, weights = opt.to_checkpoint(), net.flat.copy()
+    for bad in (np.ones(net.flat.size - 1), np.ones((1, net.flat.size))):
+        with pytest.raises(ShapeError, match=r"gradients of shape \(.*\) for parameters"):
+            opt.step(net, bad)
+    assert opt.t == 1 and opt.to_checkpoint() == before
+    assert_array_equal(net.flat, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +170,8 @@ def test_step_rejects_mismatched_gradients():
 def test_caadam_scale_table_length_checked():
     net = init_network(NetworkSpec(2, (3,), 1), make_rng(0))
     opt = CaAdam(OptimizerConfig("caadam"), ScaleTable((1.5,)))
-    grads = GradientSet(layers=[(np.zeros((2, 3)), np.zeros(3)),
-                                (np.zeros((3, 1)), np.zeros(1))])
     with pytest.raises(ShapeError, match="scale table has 1 entries for 2 layers"):
-        opt.step(net, grads)
+        opt.step(net, np.zeros(net.flat.size))
 
 
 def test_caadam_bias_shares_its_layer_factor():
@@ -192,9 +186,9 @@ def test_caadam_bias_shares_its_layer_factor():
     ca = CaAdam(OptimizerConfig("caadam"), table)
     adam = Adam(OptimizerConfig("adam"))
     rng = make_rng(34)
-    grads = GradientSet(layers=[
-        (rng.normal(size=(1, 2)), rng.normal(size=2)),
-        (rng.normal(size=(2, 1)), rng.normal(size=1)),
+    grads = np.concatenate([
+        rng.normal(size=(1, 2)).ravel(), rng.normal(size=2),
+        rng.normal(size=(2, 1)).ravel(), rng.normal(size=1),
     ])
     ca.step(net_ca, grads)
     adam.step(net_adam, grads)
